@@ -2,7 +2,7 @@
 // throughput on characteristic line corpora. Not a paper figure —
 // engineering sanity for the library itself.
 //
-// --simd=<scalar|sse42|avx2|neon> pins the kernel backend for the whole
+// --simd=<scalar|avx2|neon> pins the kernel backend for the whole
 // run (default: best available), so backends can be compared back to back.
 #include <benchmark/benchmark.h>
 

@@ -42,18 +42,15 @@ inline double parse_scale(int argc, char** argv, double fallback = 1.0) {
   return fallback;
 }
 
-/// Runs `abbrev` under `policy`; characterization/tracing per flags.
-/// `shards` > 1 selects the sharded event engine (0 = config default);
-/// `fabric` picks the interconnect (shared bus by default).
+/// Runs `abbrev` under `policy` on the paper's shared bus;
+/// characterization/tracing per flags.
 inline RunResult run(std::string_view abbrev, double scale, PolicyFactory policy,
-                     bool characterize = false, std::size_t trace_samples = 0,
-                     std::uint32_t shards = 0, FabricKind fabric = FabricKind::kBus) {
+                     bool characterize = false, std::size_t trace_samples = 0) {
   SystemConfig cfg;
   cfg.policy = std::move(policy);
   cfg.characterize = characterize;
   cfg.trace_samples = trace_samples;
-  cfg.shards = shards;
-  cfg.fabric = fabric;
+  cfg.fabric = FabricKind::kBus;
   auto wl = make_workload(abbrev, scale);
   RunResult r = run_workload(std::move(cfg), *wl);
   return r;

@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -54,12 +53,11 @@ std::vector<bench::PolicyCase> perf_policies() {
 }
 
 Measurement measure(std::string_view abbrev, const bench::PolicyCase& c, double scale,
-                    int repeats, std::uint32_t shards = 1,
-                    FabricKind fabric = FabricKind::kBus) {
+                    int repeats) {
   Measurement best;
   for (int rep = 0; rep < repeats; ++rep) {
     const auto t0 = Clock::now();
-    const RunResult r = bench::run(abbrev, scale, c.factory, false, 0, shards, fabric);
+    const RunResult r = bench::run(abbrev, scale, c.factory);
     const auto t1 = Clock::now();
     const double ms =
         std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(t1 - t0)
@@ -84,29 +82,6 @@ void append_json_string(std::string& out, std::string_view s) {
   out += '"';
 }
 
-/// Event-engine lanes for the sharded adaptive passes (the configuration
-/// the parallel-engine work targets; speedup is reported against the serial
-/// adaptive slice on the same fabric).
-constexpr std::uint32_t kShardedLanes = 4;
-
-/// Wall-time and event-count sum across one pass of the adaptive slice.
-struct Aggregate {
-  double wall_ms{0.0};
-  std::uint64_t events{0};
-  [[nodiscard]] double rate() const noexcept {
-    return wall_ms > 0.0 ? static_cast<double>(events) / (wall_ms / 1e3) : 0.0;
-  }
-};
-
-Aggregate aggregate(const std::vector<Measurement>& ms) {
-  Aggregate a;
-  for (const Measurement& m : ms) {
-    a.wall_ms += m.wall_ms;
-    a.events += m.events;
-  }
-  return a;
-}
-
 /// The bulk-transfer headline: the same all-reduce measured with per-line
 /// pulls and with page-granularity bulk pulls. Simulated-machine numbers
 /// (algorithm bandwidth in buffer bytes per fabric cycle), deterministic
@@ -121,11 +96,8 @@ struct BulkCollective {
   bool verified{false};
 };
 
-std::string to_json(const std::vector<Measurement>& ms,
-                    const std::vector<Measurement>& sharded,
-                    const std::vector<Measurement>& switch_serial,
-                    const std::vector<Measurement>& switch_sharded,
-                    const BulkCollective& bulk, double scale, int repeats) {
+std::string to_json(const std::vector<Measurement>& ms, const BulkCollective& bulk,
+                    double scale, int repeats) {
   std::string out = "{\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -160,8 +132,6 @@ std::string to_json(const std::vector<Measurement>& ms,
       adaptive_events += m.events;
     }
   }
-  const double adaptive_rate =
-      adaptive_ms > 0.0 ? static_cast<double>(adaptive_events) / (adaptive_ms / 1e3) : 0.0;
   std::snprintf(buf, sizeof(buf),
                 "  ],\n  \"total\": {\"wall_ms\": %.3f, \"events\": %llu, "
                 "\"events_per_sec\": %.1f},\n"
@@ -169,44 +139,10 @@ std::string to_json(const std::vector<Measurement>& ms,
                 "\"events_per_sec\": %.1f}",
                 total_ms, static_cast<unsigned long long>(total_events),
                 total_ms > 0.0 ? static_cast<double>(total_events) / (total_ms / 1e3) : 0.0,
-                adaptive_ms, static_cast<unsigned long long>(adaptive_events), adaptive_rate);
+                adaptive_ms, static_cast<unsigned long long>(adaptive_events),
+                adaptive_ms > 0.0 ? static_cast<double>(adaptive_events) / (adaptive_ms / 1e3)
+                                  : 0.0);
   out += buf;
-  // Sharded aggregates carry the builder's core count: a speedup measured
-  // with fewer cores than lanes is an overhead floor, not a parallelism
-  // signal, and check_perf.py skips the baseline compare in that case.
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  const auto emit_sharded = [&](const char* name, const std::vector<Measurement>& pass,
-                                double serial_rate) {
-    if (pass.empty()) return;
-    // The same adaptive cases re-run on the sharded engine: identical event
-    // counts (the schedule is bit-reproduced), so the rate ratio IS the
-    // wall-time speedup.
-    const Aggregate a = aggregate(pass);
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  \"%s\": {\"shards\": %u, \"cores\": %u, \"wall_ms\": %.3f, "
-                  "\"events\": %llu, \"events_per_sec\": %.1f, "
-                  "\"speedup_vs_serial\": %.3f}",
-                  name, kShardedLanes, cores, a.wall_ms,
-                  static_cast<unsigned long long>(a.events), a.rate(),
-                  serial_rate > 0.0 ? a.rate() / serial_rate : 0.0);
-    out += buf;
-  };
-  emit_sharded("adaptive_sharded", sharded, adaptive_rate);
-
-  // Switch-fabric adaptive slice, serial and sharded: the crossbar's
-  // per-port horizon opens a different window shape than the bus's
-  // busy-until, so the perf smoke tracks both fabrics.
-  double switch_rate = 0.0;
-  if (!switch_serial.empty()) {
-    const Aggregate a = aggregate(switch_serial);
-    switch_rate = a.rate();
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  \"adaptive_switch\": {\"wall_ms\": %.3f, \"events\": %llu, "
-                  "\"events_per_sec\": %.1f}",
-                  a.wall_ms, static_cast<unsigned long long>(a.events), a.rate());
-    out += buf;
-  }
-  emit_sharded("adaptive_sharded_switch", switch_sharded, switch_rate);
   if (bulk.ranks > 0) {
     std::snprintf(buf, sizeof(buf),
                   ",\n  \"bulk_collective\": {\"ranks\": %u, \"lines_per_rank\": %llu, "
@@ -249,27 +185,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Extra adaptive passes: sharded on the bus, then serial + sharded on the
-  // switch fabric (the serial switch pass is the sharded one's baseline).
-  const auto adaptive_pass = [&](std::uint32_t shards, FabricKind fabric, const char* note) {
-    std::vector<Measurement> pass;
-    const bench::PolicyCase c{"adaptive", make_adaptive_policy(AdaptiveParams{})};
-    for (const auto abbrev : workload_abbrevs()) {
-      Measurement m = measure(abbrev, c, scale, repeats, shards, fabric);
-      std::printf("%-4s %-9s %10.2f %12llu %14.0f %14.0f  (%s)\n", m.workload.c_str(),
-                  m.policy.c_str(), m.wall_ms, static_cast<unsigned long long>(m.events),
-                  m.events_per_sec(), m.sim_ticks_per_sec(), note);
-      pass.push_back(std::move(m));
-    }
-    return pass;
-  };
-  const std::vector<Measurement> sharded =
-      adaptive_pass(kShardedLanes, FabricKind::kBus, "bus, shards=4");
-  const std::vector<Measurement> switch_serial =
-      adaptive_pass(1, FabricKind::kSwitch, "switch, serial");
-  const std::vector<Measurement> switch_sharded =
-      adaptive_pass(kShardedLanes, FabricKind::kSwitch, "switch, shards=4");
-
   // Bulk-transfer headline: all-reduce at 8 ranks on the compressible fill,
   // per-line pulls vs page-granularity bulk pulls under the same adaptive
   // policy on the same build. Deterministic simulated-machine numbers, so
@@ -303,8 +218,7 @@ int main(int argc, char** argv) {
               bulk.per_line_alg > 0.0 ? bulk.bulk_alg / bulk.per_line_alg : 0.0,
               bulk.verified ? "verified" : "VERIFICATION FAILED");
 
-  const std::string json =
-      to_json(results, sharded, switch_serial, switch_sharded, bulk, scale, repeats);
+  const std::string json = to_json(results, bulk, scale, repeats);
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_perf: cannot open %s for writing\n", out_path.c_str());

@@ -28,9 +28,7 @@
 //     --characterize                          (adds Table V-style columns)
 //     --trace-out <file.json>                 (write Chrome trace-event JSON; open in Perfetto)
 //     --trace-limit <events>                  (trace ring capacity, default 262144)
-//     --simd      scalar|sse42|avx2|neon      (pin codec kernel backend; default best)
-//     --shards    <lanes>                     (sharded event engine, 1..64;
-//                                              default 1 or $MGCOMP_SHARDS)
+//     --simd      scalar|avx2|neon            (pin codec kernel backend; default best)
 //
 //   Collective mode (replaces the workload with one ring collective):
 //     --collective allreduce|allgather|reducescatter|broadcast
@@ -85,7 +83,6 @@ struct Options {
   std::string trace_out;   ///< Chrome trace-event JSON path (Perfetto)
   std::size_t trace_limit{262144};  ///< event-ring capacity for --trace-out
   std::string simd;        ///< pinned SIMD backend ("" = best available)
-  std::uint32_t shards{0};  ///< event-engine lanes (0 = config default)
   std::string collective;  ///< collective mode: op name ("" = workload mode)
   std::uint32_t coll_kb{64};       ///< collective buffer KB per rank
   std::string coll_fill{"lowrange"};
@@ -190,11 +187,6 @@ bool parse(int argc, char** argv, Options& o) {
       const char* v = next();
       if (v == nullptr) return false;
       o.simd = v;
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.shards = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.shards < 1 || o.shards > Engine::kMaxShards) return false;
     } else if (arg == "--collective") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -257,7 +249,7 @@ void usage() {
       "                [--fault-episodes SPEC] [--allow-shrink]\n"
       "                [--characterize] [--json] [--dump-trace out.csv]\n"
       "                [--trace-out out.json] [--trace-limit EVENTS]\n"
-      "                [--simd scalar|sse42|avx2|neon] [--shards N]\n"
+      "                [--simd scalar|avx2|neon]\n"
       "                [--collective allreduce|allgather|reducescatter|broadcast]\n"
       "                [--coll-kb KB] [--coll-fill zero|lowrange|ramp|random]\n"
       "                [--coll-op sum|max] [--coll-window LINES] [--coll-root RANK]\n"
@@ -282,7 +274,6 @@ int main(int argc, char** argv) {
 
   SystemConfig cfg;
   cfg.num_gpus = o.gpus;
-  cfg.shards = o.shards;
   cfg.bus.bytes_per_cycle = o.bus;
   cfg.characterize = o.characterize;
   cfg.fault.bit_error_rate = o.ber;

@@ -586,17 +586,10 @@ CollectiveOutcome run_collective(MultiGpuSystem& sys, const CollectiveConfig& cf
         }
       }
     }
-    // Collective completion callbacks run from GPU-domain events but
-    // mutate cross-rank state (RunState, peer line buffers), so sharded
-    // runs must stay serial here: suspend parallel windows for the drain.
-    // Serial sharded execution is a k-way merge in (tick, seq) order —
-    // bit-identical to the single-heap engine.
     for (auto& stage : stages) {
       if (rs.aborted) break;  // a doomed attempt skips its later stages
       for (auto& t : stage) t->start();
-      sys.engine().set_windows_enabled(false);
       sys.engine().run();
-      sys.engine().set_windows_enabled(true);
     }
     last_done = rs.last_done;
 

@@ -13,9 +13,6 @@ namespace mgcomp::simd {
 /// Reference implementation; never null, runs on every CPU.
 [[nodiscard]] const ProbeKernels* scalar_kernels() noexcept;
 
-/// Null unless built with SSE4.2 support (x86 only).
-[[nodiscard]] const ProbeKernels* sse42_kernels() noexcept;
-
 /// Null unless built with AVX2 support (x86 only).
 [[nodiscard]] const ProbeKernels* avx2_kernels() noexcept;
 

@@ -11,7 +11,6 @@ namespace {
 const ProbeKernels* table_for(Backend b) noexcept {
   switch (b) {
     case Backend::kScalar: return scalar_kernels();
-    case Backend::kSse42: return sse42_kernels();
     case Backend::kAvx2: return avx2_kernels();
     case Backend::kNeon: return neon_kernels();
   }
@@ -23,8 +22,6 @@ bool cpu_supports(Backend b) noexcept {
     case Backend::kScalar:
       return true;
 #if defined(__x86_64__) || defined(__i386__)
-    case Backend::kSse42:
-      return __builtin_cpu_supports("sse4.2") != 0;
     case Backend::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
 #endif
@@ -38,8 +35,7 @@ bool cpu_supports(Backend b) noexcept {
 }
 
 // Selection priority when no override is given.
-constexpr Backend kPreferenceOrder[] = {Backend::kAvx2, Backend::kSse42,
-                                        Backend::kNeon, Backend::kScalar};
+constexpr Backend kPreferenceOrder[] = {Backend::kAvx2, Backend::kNeon, Backend::kScalar};
 
 struct ActiveState {
   Backend backend;
@@ -76,7 +72,6 @@ ActiveState& active_state() noexcept {
 std::string_view backend_name(Backend b) noexcept {
   switch (b) {
     case Backend::kScalar: return "scalar";
-    case Backend::kSse42: return "sse42";
     case Backend::kAvx2: return "avx2";
     case Backend::kNeon: return "neon";
   }

@@ -1,11 +1,11 @@
 // Runtime SIMD backend selection (ISSUE 4).
 //
-// The per-line codec kernels exist in up to four implementations: scalar
-// (reference, always present), SSE4.2, AVX2, and NEON. At first use the
+// The per-line codec kernels exist in up to three implementations: scalar
+// (reference, always present), AVX2, and NEON. At first use the
 // dispatcher picks the best backend the build and the CPU both support,
 // unless overridden:
 //
-//   - environment: MGCOMP_SIMD=scalar|sse42|avx2|neon
+//   - environment: MGCOMP_SIMD=scalar|avx2|neon
 //   - programmatic: set_backend() (used by the --simd CLI flags and tests)
 //
 // An override naming an unknown or unavailable backend warns on stderr and
@@ -22,11 +22,11 @@
 
 namespace mgcomp::simd {
 
-enum class Backend : std::uint8_t { kScalar = 0, kSse42 = 1, kAvx2 = 2, kNeon = 3 };
+enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-inline constexpr std::size_t kNumBackends = 4;
+inline constexpr std::size_t kNumBackends = 3;
 
-/// Stable lowercase name ("scalar", "sse42", "avx2", "neon").
+/// Stable lowercase name ("scalar", "avx2", "neon").
 [[nodiscard]] std::string_view backend_name(Backend b) noexcept;
 
 /// Inverse of backend_name(); nullopt for unknown strings.
@@ -38,7 +38,7 @@ inline constexpr std::size_t kNumBackends = 4;
 /// All available backends, scalar first. Never empty.
 [[nodiscard]] std::vector<Backend> available_backends();
 
-/// The fastest available backend (avx2 > sse42 > neon > scalar).
+/// The fastest available backend (avx2 > neon > scalar).
 [[nodiscard]] Backend best_backend() noexcept;
 
 /// Currently active backend (resolves the MGCOMP_SIMD override on first use).

@@ -2,8 +2,8 @@
 //
 // A ProbeKernels table bundles one implementation per codec of the
 // data-parallel core of probe(): FPC word classification, BDI form
-// selection, and the C-Pack+Z counting walk. Backends (scalar / SSE4.2 /
-// AVX2 / NEON) provide the tables; the shared *drivers* below turn raw
+// selection, and the C-Pack+Z counting walk. Backends (scalar / AVX2 /
+// NEON) provide the tables; the shared *drivers* below turn raw
 // kernel output into the exact size_bits and PatternStats the virtual
 // probe()/compress() contract requires — so a backend only has to get the
 // per-word facts right, never the Table II accounting.

@@ -1,6 +1,5 @@
 #include "core/system.h"
 
-#include <algorithm>
 #include <string>
 
 #include "common/assert.h"
@@ -22,12 +21,10 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig config) : config_(std::move(config))
                      "hierarchical fabric has no fail-stop episode support");
   }
 
+  MGCOMP_CHECK_MSG(config_.shards == 1,
+                   "SystemConfig::shards must be 1: sharded execution was removed");
+
   engine_ = std::make_unique<Engine>();
-  // Sharding must be configured before the first event is scheduled: one
-  // global domain plus one per GPU. shards == 1 (the default) keeps the
-  // original single-heap engine with zero threads.
-  const std::uint32_t shards = config_.resolved_shards();
-  if (shards > 1) engine_->configure_sharding(shards, config_.num_gpus + 1);
   mem_ = std::make_unique<GlobalMemory>();
   map_ = std::make_unique<AddressMap>(config_.num_gpus, config_.gpu.l2_banks);
   codecs_ = std::make_unique<CodecSet>();
@@ -114,23 +111,6 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig config) : config_(std::move(config))
     for (auto& gpu : gpus_) gpu->rdma().set_health_monitor(health_.get());
     episodes_->schedule_all();
   }
-
-  // Parallel windows drain GPU domains below a tick-valued lookahead
-  // horizon. The fabric bounds the earliest cross-domain delivery that any
-  // window event — or one of its shared ops replayed at the barrier — could
-  // schedule: the bus from its busy-until tick, the switch from per-port
-  // earliest-free minima, both plus the minimum link serialization time. A
-  // health monitor adds its own bound (a replayed link observation can arm
-  // a DOWN probe at now + probe_interval); the tracer needs none — records
-  // made inside windows stage in per-lane rings and commit at the barrier.
-  // The engine additionally caps the horizon at the global heap's head.
-  if (engine_->shards() > 1) {
-    engine_->set_window_horizon_source([this](Tick earliest) {
-      Tick h = bus_->lookahead_horizon(earliest);
-      if (health_ != nullptr) h = std::min(h, earliest + health_->min_schedule_delay());
-      return h;
-    });
-  }
 }
 
 MultiGpuSystem::~MultiGpuSystem() = default;
@@ -149,15 +129,11 @@ void MultiGpuSystem::run_kernel(const KernelTrace& trace) {
     assignment[w % n_cus].push_back(&trace.workgroups[w]);
   }
 
-  // Atomic: kernel-completion callbacks run on their CU's shard lane when
-  // the engine executes a parallel window.
-  std::atomic<std::uint32_t> remaining{0};
-  std::uint32_t busy_cus = 0;
+  std::uint32_t remaining = 0;
   for (std::uint32_t c = 0; c < n_cus; ++c) {
-    if (!assignment[c].empty()) ++busy_cus;
+    if (!assignment[c].empty()) ++remaining;
   }
-  if (busy_cus == 0) return;  // empty kernel (e.g. pure host work)
-  remaining.store(busy_cus, std::memory_order_relaxed);
+  if (remaining == 0) return;  // empty kernel (e.g. pure host work)
 
   // Watchdog (faults only): lossless runs cannot stall, and keeping it off
   // there means the fault-free event schedule is bit-identical to a build
@@ -174,14 +150,12 @@ void MultiGpuSystem::run_kernel(const KernelTrace& trace) {
     Gpu& gpu = *gpus_[c / config_.gpu.num_cus];
     gpu.cu(CuId{c % config_.gpu.num_cus})
         .start_kernel(trace, std::move(assignment[c]), [this, &remaining, &wd_token] {
-          if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 && wd_token) {
-            engine_->cancel(wd_token);
-          }
+          if (--remaining == 0 && wd_token) engine_->cancel(wd_token);
         });
   }
 
   engine_->run();
-  if (remaining.load(std::memory_order_acquire) != 0) {
+  if (remaining != 0) {
     MGCOMP_CHECK_MSG(
         false, stall_dump("kernel did not drain: event queue empty with requests pending")
                    .c_str());
@@ -194,12 +168,11 @@ void MultiGpuSystem::run_kernel(const KernelTrace& trace) {
 
 void MultiGpuSystem::schedule_watchdog(Engine::CancelToken token,
                                        std::uint64_t last_messages,
-                                       const std::atomic<std::uint32_t>* remaining) {
+                                       const std::uint32_t* remaining) {
   engine_->schedule_cancellable_in(
       config_.watchdog_interval,
       [this, token, last_messages, remaining] {
-        // completed between cancel and pop
-        if (remaining->load(std::memory_order_acquire) == 0) return;
+        if (*remaining == 0) return;  // completed between cancel and pop
         const std::uint64_t now_messages = bus_->stats().total_messages();
         if (now_messages == last_messages) {
           MGCOMP_CHECK_MSG(
@@ -217,8 +190,7 @@ std::string MultiGpuSystem::stall_dump(const char* why) const {
   // still occupying their heaps, so the gap between the two is cancelled
   // timer debris, not real work.
   s += "\n  engine: live_events=" + std::to_string(engine_->pending()) +
-       " queued=" + std::to_string(engine_->queued()) +
-       " shards=" + std::to_string(engine_->shards());
+       " queued=" + std::to_string(engine_->queued());
   for (std::uint32_t g = 0; g < config_.num_gpus; ++g) {
     s += "\n  GPU" + std::to_string(g) +
          ": outstanding=" + std::to_string(gpus_[g]->rdma().outstanding());

@@ -6,7 +6,6 @@
 // runs one workload once; construct a fresh system per run.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -73,7 +72,7 @@ class MultiGpuSystem {
   /// fabric message completed over a whole interval while requests are
   /// still outstanding (possible once links drop messages).
   void schedule_watchdog(Engine::CancelToken token, std::uint64_t last_messages,
-                         const std::atomic<std::uint32_t>* remaining);
+                         const std::uint32_t* remaining);
 
   /// Human-readable stall diagnostics: per-GPU outstanding requests and
   /// per-endpoint buffer/queue occupancy.

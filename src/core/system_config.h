@@ -57,8 +57,8 @@ enum class FabricKind : std::uint8_t { kAuto, kBus, kSwitch, kHier };
 /// Supported system sizes. The lower bound keeps the fabric non-trivial
 /// (ring schedules need a peer); the upper bound is how far the machine
 /// model has been validated — page interleaving, (hierarchical) ring
-/// collectives, the sharded engine's domain table and the energy tiers
-/// all stay meaningful up to 64 GPUs (e.g. 16 nodes x 4).
+/// collectives and the energy tiers all stay meaningful up to 64 GPUs
+/// (e.g. 16 nodes x 4).
 inline constexpr std::uint32_t kMinGpus = 2;
 inline constexpr std::uint32_t kMaxGpus = 64;
 
@@ -124,23 +124,10 @@ struct SystemConfig {
   /// non-empty.
   HealthParams health{};
 
-  /// Event-engine shard lanes (simulate --shards). 1 runs the original
-  /// single-threaded single-heap engine; N > 1 partitions events into
-  /// per-GPU domains executed by N lanes inside conservative parallel
-  /// windows — bit-identical results, faster wall clock on multicore
-  /// hosts. 0 (the default) resolves from the MGCOMP_SHARDS environment
-  /// variable, else 1.
-  std::uint32_t shards{0};
-
-  /// The effective shard count after applying the MGCOMP_SHARDS fallback.
-  [[nodiscard]] std::uint32_t resolved_shards() const noexcept {
-    if (shards != 0) return shards;
-    if (const char* env = std::getenv("MGCOMP_SHARDS")) {
-      const unsigned long v = std::strtoul(env, nullptr, 10);
-      if (v >= 1 && v <= Engine::kMaxShards) return static_cast<std::uint32_t>(v);
-    }
-    return 1;
-  }
+  /// Event-engine lanes. Kept only so existing callers that pin 1 still
+  /// compile: the engine runs one heap on one thread, and MultiGpuSystem
+  /// rejects any other value.
+  std::uint32_t shards{1};
 
   /// True when any fault machinery (stochastic or fail-stop) is active.
   [[nodiscard]] bool reliability_enabled() const noexcept {

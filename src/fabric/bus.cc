@@ -96,7 +96,6 @@ void BusFabric::kick() {
         (in_flight_.wire_bytes() + params_.bytes_per_cycle - 1) / params_.bytes_per_cycle;
     stats_.busy_cycles += cycles;
     stats_.record_busy(engine_->now(), cycles);
-    busy_until_ = engine_->now() + std::max<Tick>(cycles, 1);
     engine_->schedule_in(std::max<Tick>(cycles, 1), [this] { complete(); });
     return;
   }

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.h"
 #include "fabric/fabric.h"
 #include "fabric/message.h"
 #include "sim/engine.h"
@@ -175,7 +176,9 @@ class BusFabric final : public Fabric {
     bool response_priority{false};
   };
 
-  BusFabric(Engine& engine, Params params) : engine_(&engine), params_(params) {}
+  BusFabric(Engine& engine, Params params) : engine_(&engine), params_(params) {
+    MGCOMP_CHECK_MSG(params_.bytes_per_cycle >= 1, "BusFabric: bytes_per_cycle must be >= 1");
+  }
 
   /// Registers an endpoint; `is_gpu` controls inter-GPU accounting.
   EndpointId add_endpoint(std::string name, bool is_gpu, DeliverFn deliver) override {
@@ -193,16 +196,6 @@ class BusFabric final : public Fabric {
   [[nodiscard]] const BusStats& stats() const noexcept override { return stats_; }
   [[nodiscard]] bool idle() const noexcept { return !busy_; }
 
-  /// While a transfer occupies the bus, kick() is a no-op and the only
-  /// scheduled fabric event is the in-flight complete() at busy_until_ —
-  /// sends from window events merely enqueue, and a grant issued by the
-  /// barrier replay of complete() cannot finish before busy_until_ plus
-  /// the smallest message's serialization time. Idle, a send replayed at
-  /// tick t >= `earliest` grants immediately and completes no sooner than
-  /// t + min_cycles().
-  [[nodiscard]] Tick lookahead_horizon(Tick earliest) const noexcept override {
-    return (busy_ ? busy_until_ : earliest) + min_cycles();
-  }
   [[nodiscard]] std::size_t num_endpoints() const noexcept { return endpoints_.size(); }
   [[nodiscard]] const std::string& endpoint_name(EndpointId ep) const override {
     return endpoints_.at(ep.value).name;
@@ -246,14 +239,6 @@ class BusFabric final : public Fabric {
   /// (destination GPU declared DOWN, or the sender itself is dead).
   void purge_undeliverable(std::size_t idx);
 
-  /// Serialization time of the smallest possible message — the lower bound
-  /// on any transfer's wire occupancy.
-  [[nodiscard]] Tick min_cycles() const noexcept {
-    return std::max<Tick>((kMinWireBytes + params_.bytes_per_cycle - 1) /
-                              params_.bytes_per_cycle,
-                          1);
-  }
-
   Engine* engine_;
   Params params_;
   std::vector<Endpoint> endpoints_;
@@ -262,7 +247,6 @@ class BusFabric final : public Fabric {
   HealthMonitor* health_{nullptr};
   Tracer* tracer_{nullptr};
   bool busy_{false};
-  Tick busy_until_{0};  ///< tick of the in-flight complete() while busy_
   Message in_flight_{};
   std::size_t rr_next_{0};  ///< round-robin scan start
 };

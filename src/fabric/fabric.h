@@ -59,20 +59,6 @@ class Fabric {
   /// that just changed state (recovered, or a peer declared dead).
   virtual void on_health_change() {}
 
-  /// Conservative lookahead horizon for the sharded engine's parallel
-  /// windows. `earliest` is the lowest tick at which any event inside the
-  /// candidate window could run; the fabric must return a tick H >=
-  /// `earliest` such that no send()/consume() issued by those events — or
-  /// by their deferred shared ops replayed at the window barrier — can
-  /// schedule a delivery or completion strictly before H. The engine caps
-  /// H at the global heap's head, so returning a wide bound is safe; the
-  /// default 0 is the always-safe answer "no guarantee" — execution simply
-  /// stays serial.
-  [[nodiscard]] virtual Tick lookahead_horizon(Tick earliest) const noexcept {
-    (void)earliest;
-    return 0;
-  }
-
   // Introspection for watchdog diagnostics: how full each endpoint's
   // buffers are when a run stops making progress.
   [[nodiscard]] virtual std::size_t endpoint_count() const noexcept = 0;

@@ -14,7 +14,7 @@ HierFabric::HierFabric(Engine& engine, Params params)
                    "HierFabric: gpus_per_node must be >= 1");
   MGCOMP_CHECK_MSG(params_.topo.internode_bw_ratio >= 1,
                    "HierFabric: internode_bw_ratio must be >= 1");
-  MGCOMP_CHECK(params_.bytes_per_cycle >= 1);
+  MGCOMP_CHECK_MSG(params_.bytes_per_cycle >= 1, "HierFabric: bytes_per_cycle must be >= 1");
   trunk_bytes_per_cycle_ =
       std::max<std::uint32_t>(params_.bytes_per_cycle / params_.topo.internode_bw_ratio, 1);
 }
@@ -122,23 +122,6 @@ void HierFabric::consume(EndpointId id, std::size_t bytes) {
   }
 }
 
-Tick HierFabric::lookahead_horizon(Tick earliest) const noexcept {
-  Tick out_free = 0;
-  Tick in_free = 0;
-  bool first = true;
-  for (const Endpoint& ep : endpoints_) {
-    if (first) {
-      out_free = ep.out_port_free;
-      in_free = ep.in_port_free;
-      first = false;
-    } else {
-      out_free = std::min(out_free, ep.out_port_free);
-      in_free = std::min(in_free, ep.in_port_free);
-    }
-  }
-  return std::max({earliest, out_free, in_free}) + min_cycles();
-}
-
 void HierFabric::pump(std::size_t src_idx) {
   Endpoint& src = endpoints_[src_idx];
   src.head_blocked = false;
@@ -176,7 +159,7 @@ void HierFabric::pump(std::size_t src_idx) {
       // link on the route in turn (queueing behind its earlier traffic),
       // then the destination in-port segment. Every reservation starts at
       // max(previous segment's end, the resource's free tick), so frees
-      // only move forward — the horizon contract depends on that.
+      // only move forward.
       const Tick c_trunk = trunk_cycles(wire);
       const Tick start = std::max(engine_->now(), src.out_port_free);
       src.out_port_free = start + c_intra;

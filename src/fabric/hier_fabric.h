@@ -22,9 +22,7 @@
 // port for ceil(W / intra_rate) cycles, then each trunk link on its route
 // for ceil(W / trunk_rate) cycles in sequence (queueing behind earlier
 // traffic on that link), then the destination's input port. One engine
-// event per message fires at final arrival. Port and link reservations
-// only move forward in time, which is what makes lookahead_horizon() a
-// sound window bound for the sharded engine.
+// event per message fires at final arrival.
 #pragma once
 
 #include <deque>
@@ -97,17 +95,6 @@ class HierFabric final : public Fabric {
   /// Finalizes the link graph on first use, like send().
   [[nodiscard]] std::uint32_t trunk_hops(std::uint32_t node_a, std::uint32_t node_b);
 
-  /// Same structure as the switch fabric's bound, and sound for the same
-  /// reason: any transfer launched by a replayed window send starts its
-  /// first port segment no earlier than max(its launch tick >= `earliest`,
-  /// its source's out-port free tick), every later segment only adds time,
-  /// and the final input-port segment starts no earlier than that port's
-  /// free tick — so delivery >= max(earliest, min out_free, min in_free) +
-  /// min_cycles(). Port free ticks only move forward during a window's
-  /// replay, so the bound holds for every launch in it. Trunk-link frees
-  /// could only tighten the bound further and are deliberately ignored.
-  [[nodiscard]] Tick lookahead_horizon(Tick earliest) const noexcept override;
-
  private:
   struct Endpoint {
     std::string name;
@@ -144,15 +131,6 @@ class HierFabric final : public Fabric {
   }
   [[nodiscard]] Tick trunk_cycles(std::size_t wire_bytes) const noexcept {
     return std::max<Tick>((wire_bytes + trunk_bytes_per_cycle_ - 1) / trunk_bytes_per_cycle_,
-                          1);
-  }
-
-  /// Serialization time of the smallest possible message on the fastest
-  /// (intra-node) segment — the lower bound on any transfer's port
-  /// occupancy.
-  [[nodiscard]] Tick min_cycles() const noexcept {
-    return std::max<Tick>((kMinWireBytes + params_.bytes_per_cycle - 1) /
-                              params_.bytes_per_cycle,
                           1);
   }
 

@@ -47,12 +47,6 @@ inline constexpr std::size_t kNumMsgTypes = 5;
   return "?";
 }
 
-/// Smallest possible message on the wire: the 32-bit header-only types
-/// (Write-ACK, NACK, and a payload-free Data-Ready round down to 4 bytes).
-/// Fabric lookahead horizons use this as the serialization lower bound on
-/// any transfer a parallel window could launch.
-inline constexpr std::uint32_t kMinWireBytes = 4;
-
 struct Message {
   MsgType type{MsgType::kReadReq};
   /// Request sequence number (Msg ID) or the request it answers (Rsp ID);

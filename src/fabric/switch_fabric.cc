@@ -40,28 +40,6 @@ void SwitchFabric::on_health_change() {
   for (std::size_t s = 0; s < endpoints_.size(); ++s) pump(s);
 }
 
-Tick SwitchFabric::lookahead_horizon(Tick earliest) const noexcept {
-  // min over all out ports and all in ports lower-bounds the start tick of
-  // any (src, dst) launch: start = max(now >= earliest, out_free[src],
-  // in_free[dst]) >= max(earliest, min out_free, min in_free). With no
-  // endpoints registered yet nothing can launch at all; earliest itself is
-  // then the (degenerate) bound.
-  Tick out_free = 0;
-  Tick in_free = 0;
-  bool first = true;
-  for (const Endpoint& ep : endpoints_) {
-    if (first) {
-      out_free = ep.out_port_free;
-      in_free = ep.in_port_free;
-      first = false;
-    } else {
-      out_free = std::min(out_free, ep.out_port_free);
-      in_free = std::min(in_free, ep.in_port_free);
-    }
-  }
-  return std::max({earliest, out_free, in_free}) + min_cycles();
-}
-
 std::uint32_t SwitchFabric::pick_via(std::uint32_t src, std::uint32_t dst) const {
   for (std::uint32_t m = 0; m < endpoints_.size(); ++m) {
     if (m == src || m == dst) continue;

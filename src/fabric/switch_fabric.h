@@ -16,6 +16,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/assert.h"
 #include "fabric/bus.h"  // BusStats
 #include "fabric/fabric.h"
 #include "sim/engine.h"
@@ -29,7 +30,10 @@ class SwitchFabric final : public Fabric {
     std::size_t input_buffer_bytes{4096};
   };
 
-  SwitchFabric(Engine& engine, Params params) : engine_(&engine), params_(params) {}
+  SwitchFabric(Engine& engine, Params params) : engine_(&engine), params_(params) {
+    MGCOMP_CHECK_MSG(params_.bytes_per_cycle >= 1,
+                     "SwitchFabric: bytes_per_cycle must be >= 1");
+  }
 
   EndpointId add_endpoint(std::string name, bool is_gpu, DeliverFn deliver) override {
     endpoints_.push_back(Endpoint{std::move(name), std::move(deliver), {}, 0, 0, 0, is_gpu});
@@ -63,15 +67,6 @@ class SwitchFabric final : public Fabric {
     return endpoints_[ep.value].out.size();
   }
 
-  /// Per-port earliest-free horizon. A transfer launched by a replayed
-  /// window send starts no earlier than max(its launch tick >= `earliest`,
-  /// its source's out-port free tick, its destination's in-port free tick)
-  /// and occupies the wire for at least min_cycles(). Taking the minimum
-  /// free tick over all out ports and all in ports lower-bounds every
-  /// (src, dst) pair in O(n), and port free ticks only move forward during
-  /// a window's replay, so the bound holds for every launch in it.
-  [[nodiscard]] Tick lookahead_horizon(Tick earliest) const noexcept override;
-
  private:
   struct Endpoint {
     std::string name;
@@ -100,14 +95,6 @@ class SwitchFabric final : public Fabric {
 
   /// Pops and counts head-of-queue messages that can never be delivered.
   void purge_undeliverable(std::size_t idx);
-
-  /// Serialization time of the smallest possible message — the lower bound
-  /// on any transfer's port occupancy.
-  [[nodiscard]] Tick min_cycles() const noexcept {
-    return std::max<Tick>((kMinWireBytes + params_.bytes_per_cycle - 1) /
-                              params_.bytes_per_cycle,
-                          1);
-  }
 
   Engine* engine_;
   Params params_;

@@ -122,13 +122,6 @@ class HealthMonitor {
   [[nodiscard]] const HealthStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const HealthParams& params() const noexcept { return params_; }
 
-  /// Earliest delay after an observation at which the monitor can schedule
-  /// an engine event: a replayed link error entering DOWN arms its first
-  /// oracle probe at now + probe_interval. Window horizon sources min this
-  /// in (heartbeat chains only start from global-domain episode events, so
-  /// they never constrain a window).
-  [[nodiscard]] Tick min_schedule_delay() const noexcept { return params_.probe_interval; }
-
   /// Multi-line report of every non-UP link/endpoint (and physically dead
   /// wires not yet detected), for the watchdog stall dump.
   [[nodiscard]] std::string dump() const;

@@ -80,7 +80,7 @@ void ComputeUnit::pump() {
   if (outstanding_ < window_ && !cont_scheduled_) {
     // Yielded on the time slice: continue issuing at the virtual clock.
     cont_scheduled_ = true;
-    engine_->schedule_at(gpu_->domain(), t, [this] {
+    engine_->schedule_at(t, [this] {
       cont_scheduled_ = false;
       pump();
     });
@@ -101,10 +101,7 @@ void ComputeUnit::finish() {
   // The CU's pipeline drains at next_issue_at_; report completion then.
   auto done = std::move(on_done_);
   const Tick at = std::max(engine_->now(), next_issue_at_);
-  // Tagged to this CU's own domain: the kernel-completion callback is
-  // window-safe (atomic countdown + Engine::cancel), and keeping it local
-  // avoids a cross-shard push on every CU drain.
-  engine_->schedule_at(gpu_->domain(), at, std::move(done));
+  engine_->schedule_at(at, std::move(done));
 }
 
 }  // namespace mgcomp

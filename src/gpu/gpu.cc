@@ -68,7 +68,7 @@ bool Gpu::access(CuId cu, const MemOp& op, std::function<void()> done) {
   if (l1.access(op.addr, /*is_write=*/false)) return true;
   if (is_local(op.addr)) {
     const Tick ready = owner_access(op.addr, /*is_write=*/false);
-    engine_->schedule_at(domain(), ready, std::move(done));
+    engine_->schedule_at(ready, std::move(done));
     return false;
   }
   rdma_.remote_read(op.addr, std::move(done));
@@ -80,7 +80,7 @@ bool Gpu::scalar_read(CuId cu, Addr addr, std::function<void()> done) {
   if (l1s.access(addr, /*is_write=*/false)) return true;
   if (is_local(addr)) {
     const Tick ready = owner_access(addr, /*is_write=*/false);
-    engine_->schedule_at(domain(), ready, std::move(done));
+    engine_->schedule_at(ready, std::move(done));
     return false;
   }
   rdma_.remote_read(addr, std::move(done));

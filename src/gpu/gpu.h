@@ -63,8 +63,6 @@ class Gpu {
   void flush_caches();
 
   [[nodiscard]] GpuId id() const noexcept { return id_; }
-  /// Shard domain holding this GPU's private events (domain 0 is global).
-  [[nodiscard]] Engine::DomainId domain() const noexcept { return id_.value + 1; }
   [[nodiscard]] std::uint32_t num_cus() const noexcept {
     return static_cast<std::uint32_t>(cus_.size());
   }

@@ -123,7 +123,7 @@ void RdmaEngine::send_request(std::uint16_t id, const PendingRequest& req) {
   m.dst = req.dst;
   m.addr = req.addr;
   m.length = req.length;
-  send_to_bus(std::move(m));
+  bus_->send(std::move(m));
 }
 
 void RdmaEngine::send_payload(Addr addr, std::uint32_t length, MsgType type,
@@ -141,7 +141,7 @@ void RdmaEngine::send_payload(Addr addr, std::uint32_t length, MsgType type,
   if (length == kLineBytes) {
     const Line line = mem_->read_line(addr);
     const CompressionDecision d = policy_->decide(line);
-    engine_->shared([this, line, d] { collector_->on_payload_sent(line, d); });
+    collector_->on_payload_sent(line, d);
     m.comp_alg = d.wire_codec;
     m.payload_bits = d.payload_bits;
     m.data = line;
@@ -163,7 +163,7 @@ void RdmaEngine::send_payload(Addr addr, std::uint32_t length, MsgType type,
       std::copy(line.begin(), line.end(), block.begin() + off);
     }
     const BlockDecision d = policy_->decide_block(block.data(), block.size());
-    engine_->shared([this, d, length] { collector_->on_bulk_payload_sent(length, d); });
+    collector_->on_bulk_payload_sent(length, d);
     m.block_alg = d.alg;
     m.payload_bits = d.payload_bits;
     m.block = std::move(block);
@@ -175,15 +175,15 @@ void RdmaEngine::send_payload(Addr addr, std::uint32_t length, MsgType type,
   }
 
   if (compress_latency == 0) {
-    send_to_bus(std::move(m));
+    bus_->send(std::move(m));
   } else {
     // The path's compressor accepts one payload per `compress_occupancy`
     // cycles; the payload leaves `compress_latency` cycles after acceptance.
     Tick& unit = compressor_free_at_[type == MsgType::kWriteReq ? 1 : 0];
     const Tick start = std::max(engine_->now(), unit);
     unit = start + compress_occupancy;
-    engine_->schedule_at(domain_, start + compress_latency,
-                         [this, m = std::move(m)]() mutable { send_to_bus(std::move(m)); });
+    engine_->schedule_at(start + compress_latency,
+                         [this, m = std::move(m)]() mutable { bus_->send(std::move(m)); });
   }
 }
 
@@ -197,12 +197,8 @@ void RdmaEngine::arm_timer(std::uint16_t id, PendingRequest& req) {
       break;
     }
   }
-  if (req.retries > 0) {
-    const Tick extra = t - retry_.timeout;
-    engine_->shared([this, extra] { collector_->link().backoff_cycles += extra; });
-  }
-  req.timer =
-      engine_->schedule_cancellable_in(domain_, t, [this, id] { on_timeout(id); }, req.timer);
+  if (req.retries > 0) collector_->link().backoff_cycles += t - retry_.timeout;
+  req.timer = engine_->schedule_cancellable_in(t, [this, id] { on_timeout(id); }, req.timer);
 }
 
 void RdmaEngine::cancel_timer(PendingRequest& req) {
@@ -213,12 +209,7 @@ void RdmaEngine::on_timeout(std::uint16_t id) {
   const auto it = pending_.find(id);
   if (it == pending_.end() || it->second.completing) return;  // stale firing
   policy_->on_link_feedback(LinkEvent::kTimeout);
-  // Health observations are shared state (they can re-arbitrate the fabric
-  // or arm a DOWN probe); timeout events run in this GPU's domain, so defer
-  // through the barrier replay like every other cross-domain side effect.
-  if (health_ != nullptr) {
-    engine_->shared([this, dst = it->second.dst] { health_->on_link_error(self_ep_, dst); });
-  }
+  if (health_ != nullptr) health_->on_link_error(self_ep_, it->second.dst);
   retransmit(id, it->second, /*from_nack=*/false);
 }
 
@@ -228,17 +219,12 @@ void RdmaEngine::retransmit(std::uint16_t id, PendingRequest& req, bool from_nac
     return;
   }
   ++req.retries;
-  engine_->shared([this, from_nack] {
-    LinkStats& link = collector_->link();
-    if (from_nack) {
-      ++link.fast_retransmits;
-    } else {
-      ++link.timeout_retransmits;
-    }
-  });
-  // Tracer calls stay direct: inside a parallel window the tracer stages
-  // the record in this lane's private ring and commits it at the barrier
-  // replay, so the recorded stream matches the serial engine's exactly.
+  LinkStats& link = collector_->link();
+  if (from_nack) {
+    ++link.fast_retransmits;
+  } else {
+    ++link.timeout_retransmits;
+  }
   if (tracer_ != nullptr) {
     tracer_->instant(track_, from_nack ? "fast_retransmit" : "timeout_retransmit", "link",
                      req.addr);
@@ -249,15 +235,11 @@ void RdmaEngine::retransmit(std::uint16_t id, PendingRequest& req, bool from_nac
 }
 
 void RdmaEngine::hard_fail(std::uint16_t id, PendingRequest& req) {
-  engine_->shared([this, err = LinkError{self_, req.addr, req.type, req.retries}] {
-    ++collector_->link().hard_failures;
-    collector_->record_link_error(err);
-  });
+  ++collector_->link().hard_failures;
+  collector_->record_link_error(LinkError{self_, req.addr, req.type, req.retries});
   if (tracer_ != nullptr) tracer_->instant(track_, "hard_failure", "link", req.addr);
   policy_->on_link_feedback(LinkEvent::kHardFailure);
-  if (health_ != nullptr) {
-    engine_->shared([this, dst = req.dst] { health_->on_link_error(self_ep_, dst); });
-  }
+  if (health_ != nullptr) health_->on_link_error(self_ep_, req.dst);
   cancel_timer(req);
   quarantine_id(id);
   auto done = std::move(req.done);
@@ -333,9 +315,9 @@ void RdmaEngine::handle_read_req(Message&& msg) {
     ready = std::max(ready, owner_access_(msg.addr + off, /*is_write=*/false));
   }
   const std::uint32_t req_wire = msg.wire_bytes();
-  engine_->schedule_at(domain_, ready, [this, msg = std::move(msg), req_wire] {
+  engine_->schedule_at(ready, [this, msg = std::move(msg), req_wire] {
     send_payload(msg.addr, msg.length, MsgType::kDataReady, msg.id, msg.src);
-    consume_in(req_wire);
+    bus_->consume(self_ep_, req_wire);
   });
 }
 
@@ -361,9 +343,8 @@ void RdmaEngine::handle_data_ready(Message&& msg) {
   const Tick lat = msg.decompress_latency;
   const Tick occ = msg.decompress_occupancy;
   auto finish = [this, msg = std::move(msg)]() mutable {
-    engine_->shared(
-        [this, e = msg.decompress_energy_pj] { collector_->on_payload_received(e); });
-    consume_in(msg.wire_bytes());
+    collector_->on_payload_received(msg.decompress_energy_pj);
+    bus_->consume(self_ep_, msg.wire_bytes());
     const bool bulk = msg.is_bulk();
     // Recycle the bulk block's storage: received blocks refill this
     // engine's pool, which its own outgoing bulk sends draw from.
@@ -372,25 +353,17 @@ void RdmaEngine::handle_data_ready(Message&& msg) {
     MGCOMP_CHECK_MSG(pit != pending_.end(), "read completion raced with retirement");
     const Tick issued = pit->second.issued;
     const Tick took = engine_->now() - issued;
-    engine_->shared([this, took, bulk] {
-      if (bulk) {
-        collector_->record_bulk_read_latency(took);
-      } else {
-        collector_->record_read_latency(took);
-      }
-    });
+    if (bulk) {
+      collector_->record_bulk_read_latency(took);
+    } else {
+      collector_->record_read_latency(took);
+    }
     if (tracer_ != nullptr) {
       tracer_->span(track_, bulk ? "remote_read_bulk" : "remote_read", "rdma", issued,
                     engine_->now(), msg.addr);
     }
     if (pit->second.retries > 0) quarantine_id(msg.id);
-    // Deferred like the error path: a success can flip a RECOVERED link UP
-    // and re-arbitrate the fabric, and decompression puts this completion
-    // in the GPU's domain.
-    if (health_ != nullptr) {
-      engine_->shared(
-          [this, dst = pit->second.dst] { health_->on_link_success(self_ep_, dst); });
-    }
+    if (health_ != nullptr) health_->on_link_success(self_ep_, pit->second.dst);
     auto done = std::move(pit->second.done);
     pending_.erase(pit);
     done(true);
@@ -401,7 +374,7 @@ void RdmaEngine::handle_data_ready(Message&& msg) {
     Tick& unit = decompressor_free_at_[0];
     const Tick start = std::max(engine_->now(), unit);
     unit = start + occ;
-    engine_->schedule_at(domain_, start + lat, std::move(finish));
+    engine_->schedule_at(start + lat, std::move(finish));
   }
 }
 
@@ -413,13 +386,12 @@ void RdmaEngine::handle_write_req(Message&& msg) {
   const Tick lat = msg.decompress_latency;
   const Tick occ = msg.decompress_occupancy;
   auto commit = [this, msg = std::move(msg)]() mutable {
-    engine_->shared(
-        [this, e = msg.decompress_energy_pj] { collector_->on_payload_received(e); });
+    collector_->on_payload_received(msg.decompress_energy_pj);
     // Books local bandwidth (every line of a bulk span); the ack is posted.
     for (std::uint32_t off = 0; off < msg.length; off += kLineBytes) {
       owner_access_(msg.addr + off, /*is_write=*/true);
     }
-    consume_in(msg.wire_bytes());
+    bus_->consume(self_ep_, msg.wire_bytes());
     if (msg.is_bulk()) payload_pool_.release(std::move(msg.block));
 
     Message ack;
@@ -427,7 +399,7 @@ void RdmaEngine::handle_write_req(Message&& msg) {
     ack.id = msg.id;
     ack.src = self_ep_;
     ack.dst = msg.src;
-    send_to_bus(std::move(ack));
+    bus_->send(std::move(ack));
   };
   if (lat == 0) {
     commit();
@@ -435,7 +407,7 @@ void RdmaEngine::handle_write_req(Message&& msg) {
     Tick& unit = decompressor_free_at_[1];
     const Tick start = std::max(engine_->now(), unit);
     unit = start + occ;
-    engine_->schedule_at(domain_, start + lat, std::move(commit));
+    engine_->schedule_at(start + lat, std::move(commit));
   }
 }
 

@@ -49,7 +49,7 @@ class RdmaEngine {
   RdmaEngine(Engine& engine, Fabric& bus, GlobalMemory& mem, const AddressMap& map,
              Collector& collector, GpuId self)
       : engine_(&engine), bus_(&bus), mem_(&mem), map_(&map), collector_(&collector),
-        self_(self), domain_(self.value + 1) {}
+        self_(self) {}
 
   /// Must be called once before simulation starts. `link_faults` arms the
   /// retransmission machinery (timers, replay cache); on a lossless fabric
@@ -201,26 +201,12 @@ class RdmaEngine {
   /// buffer space, counts, NACKs payload-bearing types, and drops the rest.
   bool crc_accept(const Message& msg);
 
-  // Fabric mutations routed through Engine::shared(): immediate when this
-  // engine runs serially, deferred (in exact event order) when the calling
-  // event executes inside a parallel shard window. Every call site that can
-  // run from a domain-tagged event must use these instead of bus_ directly.
-  void send_to_bus(Message&& m) {
-    engine_->shared([this, m = std::move(m)]() mutable { bus_->send(std::move(m)); });
-  }
-  void consume_in(std::uint32_t bytes) {
-    engine_->shared([this, bytes] { bus_->consume(self_ep_, bytes); });
-  }
-
   Engine* engine_;
   Fabric* bus_;
   GlobalMemory* mem_;
   const AddressMap* map_;
   Collector* collector_;
   GpuId self_;
-  /// Shard domain owning this engine's private events (timers, compressor
-  /// pipeline hand-offs, decompression completions): the GPU's domain.
-  Engine::DomainId domain_;
 
   EndpointId self_ep_{};
   std::function<EndpointId(GpuId)> gpu_endpoint_;

@@ -44,9 +44,8 @@ void append_us(std::string& out, Tick ticks) {
 
 }  // namespace
 
-Tracer::Tracer(Engine& engine, std::size_t capacity)
-    : engine_(&engine), capacity_(capacity), staged_(engine.domain_count()),
-      staged_next_(engine.domain_count(), 0) {
+Tracer::Tracer(const Engine& engine, std::size_t capacity)
+    : engine_(&engine), capacity_(capacity) {
   MGCOMP_CHECK_MSG(capacity > 0, "tracer ring capacity must be positive");
   ring_.reserve(capacity);
 }
@@ -57,15 +56,6 @@ void Tracer::set_track_name(std::uint32_t track, std::string name) {
 }
 
 void Tracer::push(const TraceEvent& ev) {
-  if (engine_->in_window()) {
-    // Stage in this lane's private ring; a tiny shared op replayed at the
-    // barrier commits it at this record's exact serial position, so the
-    // definitive ring (and its counters) never sees window reordering.
-    const std::uint32_t dom = engine_->window_domain();
-    staged_[dom].push_back(ev);
-    engine_->shared([this, dom] { commit_staged(dom); });
-    return;
-  }
   ++recorded_;
   if (ring_.size() < capacity_) {
     ring_.push_back(ev);
@@ -73,19 +63,6 @@ void Tracer::push(const TraceEvent& ev) {
   }
   ring_[head_] = ev;
   head_ = (head_ + 1) % capacity_;
-}
-
-void Tracer::commit_staged(std::uint32_t dom) {
-  std::vector<TraceEvent>& lane = staged_[dom];
-  std::size_t& next = staged_next_[dom];
-  MGCOMP_CHECK_MSG(next < lane.size(), "tracer lane ring underflow");
-  const TraceEvent ev = lane[next++];
-  if (next == lane.size()) {
-    lane.clear();
-    next = 0;
-  }
-  // Replay runs outside the window, so this re-entry takes the direct path.
-  push(ev);
 }
 
 void Tracer::span(std::uint32_t track, const char* name, const char* cat, Tick start,

@@ -9,22 +9,13 @@
 // track e+1 is fabric endpoint e (the CPU and each GPU), so every GPU gets
 // its own swim lane.
 //
-// Cost discipline: recording from serial execution never allocates (names
-// and categories must be pointers to static storage; the ring is
-// preallocated), never schedules simulation events, and never reads
-// anything but Engine::now(). Components hold a `Tracer*` that is null when
-// tracing is off, and every hook is guarded by that null check — the
-// disabled path is one predictable branch, and a disabled run's event
-// schedule and RunResult are bit-identical to a build without tracing
-// (obs_test locks this in).
-//
-// Sharded runs: a record made from inside a parallel window is staged in
-// the draining lane's private ring (thread-confined, lock-free — no lane
-// ever touches another lane's staging or the shared ring mid-window) and
-// committed into the definitive ring by a per-event Engine::shared() op
-// replayed at the window barrier in exact (tick, seq) order. The committed
-// stream — contents, eviction order, recorded/dropped counters, exported
-// JSON — is byte-identical to a serial run's.
+// Cost discipline: recording never allocates (names and categories must be
+// pointers to static storage; the ring is preallocated), never schedules
+// simulation events, and never reads anything but Engine::now(). Components
+// hold a `Tracer*` that is null when tracing is off, and every hook is
+// guarded by that null check — the disabled path is one predictable branch,
+// and a disabled run's event schedule and RunResult are bit-identical to a
+// build without tracing (obs_test locks this in).
 //
 // When the ring fills, the OLDEST events are overwritten (the tail of a run
 // is usually where the interesting pathology is). Spans are stored whole —
@@ -67,9 +58,8 @@ struct TraceEvent {
 class Tracer {
  public:
   /// `capacity` bounds the ring (events, not bytes); must be > 0. `engine`
-  /// supplies timestamps for the instant()/counter() conveniences and the
-  /// deferred-commit path for records made inside parallel windows.
-  Tracer(Engine& engine, std::size_t capacity);
+  /// supplies timestamps for the instant()/counter() conveniences.
+  Tracer(const Engine& engine, std::size_t capacity);
 
   [[nodiscard]] Tick now() const noexcept { return engine_->now(); }
 
@@ -105,20 +95,13 @@ class Tracer {
 
  private:
   void push(const TraceEvent& ev);
-  /// Moves the oldest staged event of `dom`'s lane ring into the definitive
-  /// ring; runs from the barrier replay, in exact serial event order.
-  void commit_staged(std::uint32_t dom);
 
-  Engine* engine_;
+  const Engine* engine_;
   std::size_t capacity_;
   std::vector<TraceEvent> ring_;
   std::size_t head_{0};  ///< next overwrite position once the ring is full
   std::uint64_t recorded_{0};
   std::vector<std::string> track_names_;
-  /// Per-domain lane staging rings (see the header comment) and each one's
-  /// next-to-commit cursor.
-  std::vector<std::vector<TraceEvent>> staged_;
-  std::vector<std::size_t> staged_next_;
 };
 
 }  // namespace mgcomp

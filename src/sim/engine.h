@@ -1,4 +1,4 @@
-// Discrete-event simulation kernel with optional sharded parallel execution.
+// Discrete-event simulation kernel.
 //
 // The whole multi-GPU model is event-driven: components schedule callbacks
 // at absolute ticks of the 1 GHz system clock. Events at the same tick run
@@ -10,41 +10,11 @@
 // steady state performs zero allocations per event. Callbacks are
 // InlineFunction (sim/callback.h), whose inline buffer is sized for the
 // largest Message-capturing lambda the RDMA/fabric path schedules.
-//
-// Sharded mode (configure_sharding with shards > 1) partitions the event
-// heap into per-domain heaps: domain 0 is the global/shared domain (fabric
-// arbitration, CPU host, watchdogs, fault episodes) and domain g+1 holds
-// GPU g's private events (compute-unit pumps, local-memory latencies, RDMA
-// timers). Execution stays serial — a k-way merge across domain heads by
-// (at, seq), trivially identical to the single-heap order — except inside
-// *parallel windows*: the installed horizon source (the system wires in the
-// fabric's tick-valued lookahead bound, min'd with the health monitor's)
-// names a tick H such that no event below H — nor any shared op it defers —
-// can schedule a cross-domain delivery before H. The engine caps H at the
-// global heap's head, and every GPU domain then drains its events strictly
-// below H on its own thread. Shared side effects (fabric queues, the stats
-// collector, tracer commits, health observations) are deferred through
-// Engine::shared() into per-domain op logs; at the window barrier the
-// master merges all executed events back into (at, seq) order, assigns the
-// definitive global sequence numbers to events born inside the window, and
-// replays each event's pushes and deferred ops interleaved in their exact
-// call order — replayed ops may themselves schedule events, which land at
-// or beyond H (checked) and receive the definitive sequence numbers of
-// their serial execution position. Cross-domain schedules made inside a
-// window go through a bounded per-domain inbox and must land at or beyond
-// the horizon; they are spliced into their target heaps at the barrier. The
-// observable schedule — every callback's execution order, now() value, and
-// side-effect order — is bit-identical to the single-threaded engine;
-// shards=1 (the default) keeps the original single-heap code path.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "common/assert.h"
@@ -56,19 +26,6 @@ namespace mgcomp {
 class Engine {
  public:
   using Callback = InlineFunction;
-
-  /// Shard domain index. Domain 0 is the global/shared domain; in a system
-  /// with N GPUs, domain g+1 is GPU g's private domain. With shards == 1
-  /// every tag maps to the single legacy heap.
-  using DomainId = std::uint32_t;
-  static constexpr DomainId kGlobalDomain = 0;
-
-  /// Upper bound on worker lanes; far above any real machine's benefit.
-  static constexpr std::uint32_t kMaxShards = 64;
-
-  /// Cross-shard inbox bound: at most this many cross-domain schedules may
-  /// be in flight per source domain within one parallel window.
-  static constexpr std::size_t kInboxCapacity = 1u << 16;
 
   /// Cancellation state for timer-style events (retransmission timeouts,
   /// watchdogs). Cancel through Engine::cancel(): a cancelled event is
@@ -86,137 +43,44 @@ class Engine {
   };
   using CancelToken = std::shared_ptr<CancelState>;
 
-  Engine();
-  ~Engine();
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Switches the engine into sharded mode: `num_domains` per-domain heaps
-  /// (>= 1; domain 0 is global) executed by `shards` lanes (the calling
-  /// thread plus shards-1 workers). Must run before any event is scheduled
-  /// and at most once. shards == 1 keeps the legacy single-heap layout.
-  /// Only the num_domains - 1 GPU domains drain in parallel, so a shard
-  /// count beyond that is clamped to it with a warning rather than spinning
-  /// idle worker lanes.
-  void configure_sharding(std::uint32_t shards, DomainId num_domains);
-
-  [[nodiscard]] std::uint32_t shards() const noexcept { return shard_count_; }
-
-  /// Tick-valued lookahead bound for parallel windows. Called with the
-  /// earliest pending GPU-domain tick, it must return a tick H >= that
-  /// value such that no event executed below H — nor any shared op it
-  /// defers to the barrier — can schedule a cross-domain event landing
-  /// before H (the system installs the fabric's lookahead_horizon, min'd
-  /// with the health monitor's probe bound). The engine additionally caps
-  /// H at the global heap's head, so sources may return wide bounds.
-  using HorizonSource = std::function<Tick(Tick)>;
-
-  /// Installs the window horizon source. No source (the default) means
-  /// fully serial execution even in sharded mode.
-  void set_window_horizon_source(HorizonSource source) {
-    horizon_source_ = std::move(source);
-  }
-
-  /// Temporarily forbids parallel windows (execution stays serial and
-  /// bit-identical). Drivers whose callbacks mutate cross-domain state from
-  /// domain events — the collective layer — wrap engine().run() with this.
-  void set_windows_enabled(bool enabled) noexcept { windows_enabled_ = enabled; }
-
-  /// Parallel windows executed so far (diagnostics / tests).
-  [[nodiscard]] std::uint64_t windows_executed() const noexcept { return windows_run_; }
-
-  /// Number of per-domain heaps (1 until configure_sharding creates more).
-  [[nodiscard]] std::size_t domain_count() const noexcept { return domains_.size(); }
-
-  /// True while the calling thread is draining a domain inside a parallel
-  /// window (side effects on shared state must go through shared()).
-  [[nodiscard]] bool in_window() const noexcept { return tls_.engine == this; }
-
-  /// Domain the calling lane is draining; meaningful only when in_window().
-  [[nodiscard]] DomainId window_domain() const noexcept { return tls_.domain->id; }
-
-  /// Schedules `cb` to run at absolute tick `t` (must be >= now()) in
-  /// domain `dom`. Components tag events touching only their own GPU's
-  /// state with that GPU's domain; untagged overloads go to the global
-  /// domain. Tags are ignored (all events share one heap) when shards == 1.
-  void schedule_at(DomainId dom, Tick t, Callback cb) {
-    if (tls_.engine == this) {
-      window_push(dom, t, std::move(cb), nullptr, 0);
-      return;
-    }
+  /// Schedules `cb` to run at absolute tick `t` (must be >= now()).
+  void schedule_at(Tick t, Callback cb) {
     MGCOMP_CHECK_MSG(t >= now_, "cannot schedule into the past");
-    push_event(domain(dom), t, std::move(cb), nullptr, 0);
+    push_event(t, std::move(cb), nullptr, 0);
   }
-  void schedule_at(Tick t, Callback cb) { schedule_at(kGlobalDomain, t, std::move(cb)); }
 
   /// Schedules `cb` to run `dt` ticks from now.
-  void schedule_in(DomainId dom, Tick dt, Callback cb) {
-    schedule_at(dom, now() + dt, std::move(cb));
-  }
-  void schedule_in(Tick dt, Callback cb) { schedule_in(kGlobalDomain, dt, std::move(cb)); }
+  void schedule_in(Tick dt, Callback cb) { schedule_at(now_ + dt, std::move(cb)); }
 
   /// Like schedule_at, but returns a CancelToken (or re-arms `token` when
   /// one is passed in, letting periodic events share a single handle). A
   /// token that was cancelled is reset live on re-arm — and its generation
   /// bumped, so events armed before the cancellation stay dead.
-  CancelToken schedule_cancellable_at(DomainId dom, Tick t, Callback cb,
-                                      CancelToken token = nullptr) {
-    rearm(token);
-    if (tls_.engine == this) {
-      window_push(dom, t, std::move(cb), token, token->gen);
-      return token;
-    }
+  CancelToken schedule_cancellable_at(Tick t, Callback cb, CancelToken token = nullptr) {
     MGCOMP_CHECK_MSG(t >= now_, "cannot schedule into the past");
-    push_event(domain(dom), t, std::move(cb), token, token->gen);
+    rearm(token);
+    push_event(t, std::move(cb), token, token->gen);
     return token;
   }
-  CancelToken schedule_cancellable_at(Tick t, Callback cb, CancelToken token = nullptr) {
-    return schedule_cancellable_at(kGlobalDomain, t, std::move(cb), std::move(token));
-  }
-  CancelToken schedule_cancellable_in(DomainId dom, Tick dt, Callback cb,
-                                      CancelToken token = nullptr) {
-    return schedule_cancellable_at(dom, now() + dt, std::move(cb), std::move(token));
-  }
   CancelToken schedule_cancellable_in(Tick dt, Callback cb, CancelToken token = nullptr) {
-    return schedule_cancellable_in(kGlobalDomain, dt, std::move(cb), std::move(token));
+    return schedule_cancellable_at(now_ + dt, std::move(cb), std::move(token));
   }
 
   /// Cancels every event armed under `token`'s current generation. Safe to
-  /// call with a null or already-cancelled token, and from inside a
-  /// parallel window (the live-event count folds in at the barrier).
+  /// call with a null or already-cancelled token.
   void cancel(const CancelToken& token) noexcept {
     if (!token || !token->live) return;
     token->live = false;
-    const auto armed = static_cast<std::int64_t>(token->armed);
+    live_ -= static_cast<std::int64_t>(token->armed);
     token->armed = 0;
-    if (tls_.engine == this) {
-      tls_.domain->live_delta -= armed;
-    } else {
-      live_ -= armed;
-    }
   }
 
-  /// Runs `op` against shared (cross-domain) state: immediately when
-  /// executing serially, deferred to the window barrier — in exact (at,
-  /// seq) event order, with now() restored to the scheduling event's tick —
-  /// when called from a domain event inside a parallel window. Deferred ops
-  /// may schedule events, but only at or beyond the window horizon
-  /// (checked): the horizon source's contract is exactly that bound.
-  template <typename F>
-  void shared(F&& op) {
-    if (tls_.engine == this) {
-      tls_.domain->ops.emplace_back(std::forward<F>(op));
-      tls_.domain->acts.push_back(Domain::kActOp);
-    } else {
-      op();
-    }
-  }
-
-  /// Current simulation time. Inside a parallel window this is the
-  /// executing event's tick on the calling lane.
-  [[nodiscard]] Tick now() const noexcept {
-    return tls_.engine == this ? tls_.now : now_;
-  }
+  /// Current simulation time.
+  [[nodiscard]] Tick now() const noexcept { return now_; }
 
   /// Live pending events: cancelled events are subtracted the moment
   /// cancel() runs (not when their dead heap slot is eventually popped), so
@@ -227,11 +91,7 @@ class Engine {
 
   /// Raw heap occupancy, cancelled-but-unpopped slots included
   /// (diagnostics; pending() is the meaningful depth).
-  [[nodiscard]] std::size_t queued() const noexcept {
-    std::size_t n = 0;
-    for (const auto& d : domains_) n += d->heap.size();
-    return n;
-  }
+  [[nodiscard]] std::size_t queued() const noexcept { return heap_.size(); }
 
   /// Callbacks actually invoked so far (cancelled events excluded). The
   /// schedule is deterministic, so for a fixed config this is a
@@ -239,29 +99,43 @@ class Engine {
   /// the events/sec throughput metric.
   [[nodiscard]] std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Pops one event (the global (at, seq) minimum across domains); returns
-  /// false if all heaps are empty. A cancelled event is discarded without
-  /// running and without touching now() — the return value still reports
-  /// "made progress" so run()/run_until() loops drain naturally.
+  /// Pops one event; returns false if the heap is empty. A cancelled event
+  /// is discarded without running and without touching now() — the return
+  /// value still reports "made progress" so run()/run_until() loops drain
+  /// naturally.
   bool step() {
-    Domain* d = next_domain();
-    if (d == nullptr) return false;
-    pop_and_run(*d);
+    if (heap_.empty()) return false;
+    Event* ev = heap_.top();
+    heap_.pop();
+    if (stale(ev)) {
+      release(ev);
+      return true;
+    }
+    now_ = ev->at;
+    if (ev->token) --ev->token->armed;
+    --live_;
+    // Move the callback out and recycle the slot *before* invoking: the
+    // callback may schedule events, and handing the slot back first lets
+    // the commonest pattern (one event schedules its successor) run
+    // entirely within one slab slot.
+    Callback fn = std::move(ev->fn);
+    release(ev);
+    fn();
+    ++executed_;
     return true;
   }
 
-  /// Runs until no events remain (opening parallel windows when sharded
-  /// and the gate allows). Returns the final tick.
-  Tick run();
-
-  /// Runs serially until `deadline` or queue exhaustion, whichever first.
-  /// Used by tests to bound runaway simulations; never opens windows.
-  Tick run_until(Tick deadline) {
-    for (;;) {
-      Domain* d = next_domain();
-      if (d == nullptr || d->heap.top()->at > deadline) break;
-      pop_and_run(*d);
+  /// Runs until no events remain. Returns the final tick.
+  Tick run() {
+    while (step()) {
     }
+    return now_;
+  }
+
+  /// Runs until `deadline` or queue exhaustion, whichever first. Used by
+  /// tests to bound runaway simulations.
+  Tick run_until(Tick deadline) {
+    while (!heap_.empty() && heap_.top()->at <= deadline) step();
     return now_;
   }
 
@@ -279,80 +153,9 @@ class Engine {
     }
   };
 
-  /// One executed event inside a parallel window: the cumulative end
-  /// offset into the domain's action log delimits the pushes and deferred
-  /// ops it issued, in their original interleaved call order.
-  struct ExecRec {
-    Event* ev;
-    std::uint32_t act_end;
-  };
-  /// One event scheduled inside a parallel window, and where it belongs.
-  struct PushRec {
-    Event* ev;
-    DomainId target;
-  };
-
-  struct Domain {
-    /// Action-log kinds: each schedule (push) or deferred shared op a
-    /// window event issues appends one marker, so the barrier replay can
-    /// interleave seq assignment and op execution exactly as the serial
-    /// engine would have (an op may schedule; order matters).
-    static constexpr std::uint8_t kActPush = 0;
-    static constexpr std::uint8_t kActOp = 1;
-
-    DomainId id{0};
-    std::priority_queue<Event*, std::vector<Event*>, Later> heap;
-    std::vector<std::unique_ptr<Event[]>> slabs;
-    std::vector<Event*> free_list;
-
-    // Parallel-window scratch. Thread-confined to the draining lane while
-    // a window is open; read back by the master at the barrier.
-    std::vector<ExecRec> exec_log;
-    std::vector<PushRec> pushes;
-    std::vector<Callback> ops;
-    std::vector<std::uint8_t> acts;
-    /// Slots popped during the window. Recycling is deferred to the
-    /// barrier: the merge still reads (at, seq) through Event* and
-    /// rewrites the seq of every window-born push, so slots must stay
-    /// stable until then.
-    std::vector<Event*> retired;
-    std::uint64_t window_births{0};
-    std::size_t inbox_in_flight{0};
-    std::int64_t live_delta{0};
-
-    Event* acquire() {
-      if (free_list.empty()) {
-        slabs.push_back(std::make_unique<Event[]>(kChunkEvents));
-        Event* chunk = slabs.back().get();
-        free_list.reserve(free_list.size() + kChunkEvents);
-        for (std::size_t i = kChunkEvents; i > 0; --i) free_list.push_back(&chunk[i - 1]);
-      }
-      Event* ev = free_list.back();
-      free_list.pop_back();
-      return ev;
-    }
-    void release(Event* ev) {
-      ev->fn.reset();
-      ev->token.reset();
-      free_list.push_back(ev);
-    }
-  };
-
-  /// Per-thread execution context while draining a domain in a window.
-  struct ExecContext {
-    Engine* engine{nullptr};
-    Domain* domain{nullptr};
-    Tick now{0};
-  };
-
   /// Events per slab chunk. Chunks are never freed during a run, so every
   /// Event* stays valid for its heap lifetime.
   static constexpr std::size_t kChunkEvents = 256;
-
-  /// Provisional-sequence bit for events born inside a parallel window:
-  /// sorts after every definitive sequence number (seq_ stays far below
-  /// 2^63) and is rewritten to a definitive one at the barrier merge.
-  static constexpr std::uint64_t kWindowBorn = std::uint64_t{1} << 63;
 
   static void rearm(CancelToken& token) {
     if (!token) {
@@ -371,103 +174,42 @@ class Engine {
     return ev->token && (!ev->token->live || ev->token_gen != ev->token->gen);
   }
 
-  /// Domain lookup with the legacy collapse: out-of-range tags (every tag,
-  /// when shards == 1 and only the single legacy heap exists) map to the
-  /// global domain.
-  Domain& domain(DomainId dom) noexcept {
-    return *domains_[dom < domains_.size() ? dom : kGlobalDomain];
-  }
-
-  void push_event(Domain& d, Tick t, Callback cb, CancelToken token, std::uint64_t gen) {
-    // A replayed shared op may schedule, but only at or beyond the window
-    // horizon: the event takes its definitive seq here (larger than any
-    // already assigned), and nothing below the horizon remains unexecuted,
-    // so the merged order is exactly the serial one.
-    MGCOMP_CHECK_MSG(!replaying_ || t >= window_horizon_,
-                     "replayed shared op scheduled below the lookahead horizon");
-    Event* ev = d.acquire();
+  void push_event(Tick t, Callback cb, CancelToken token, std::uint64_t gen) {
+    Event* ev = acquire();
     ev->at = t;
     ev->seq = seq_++;
     ev->fn = std::move(cb);
     ev->token = std::move(token);
     ev->token_gen = gen;
-    d.heap.push(ev);
+    heap_.push(ev);
     ++live_;
   }
 
-  /// Schedule from inside a parallel window (implemented in engine.cc).
-  void window_push(DomainId dom, Tick t, Callback cb, CancelToken token, std::uint64_t gen);
-
-  /// The domain holding the global (at, seq) minimum; null if all empty.
-  Domain* next_domain() noexcept {
-    Domain* best = nullptr;
-    const Event* head = nullptr;
-    for (const auto& up : domains_) {
-      if (up->heap.empty()) continue;
-      const Event* e = up->heap.top();
-      if (head == nullptr || e->at < head->at || (e->at == head->at && e->seq < head->seq)) {
-        best = up.get();
-        head = e;
-      }
+  Event* acquire() {
+    if (free_.empty()) {
+      slabs_.push_back(std::make_unique<Event[]>(kChunkEvents));
+      Event* chunk = slabs_.back().get();
+      free_.reserve(free_.size() + kChunkEvents);
+      for (std::size_t i = kChunkEvents; i > 0; --i) free_.push_back(&chunk[i - 1]);
     }
-    return best;
+    Event* ev = free_.back();
+    free_.pop_back();
+    return ev;
   }
 
-  void pop_and_run(Domain& d) {
-    Event* ev = d.heap.top();
-    d.heap.pop();
-    if (stale(ev)) {
-      d.release(ev);
-      return;
-    }
-    now_ = ev->at;
-    if (ev->token) --ev->token->armed;
-    --live_;
-    // Move the callback out and recycle the slot *before* invoking: the
-    // callback may schedule events, and handing the slot back first lets
-    // the commonest pattern (one event schedules its successor) run
-    // entirely within one slab slot.
-    Callback fn = std::move(ev->fn);
-    d.release(ev);
-    fn();
-    ++executed_;
+  void release(Event* ev) {
+    ev->fn.reset();
+    ev->token.reset();
+    free_.push_back(ev);
   }
 
-  // Parallel-window machinery (engine.cc).
-  bool try_window();
-  void run_window(Tick horizon);
-  void drain_domain(Domain& dom);
-  void merge_window();
-  void worker_loop(std::uint32_t lane);
-
-  std::vector<std::unique_ptr<Domain>> domains_;
+  std::priority_queue<Event*, std::vector<Event*>, Later> heap_;
+  std::vector<std::unique_ptr<Event[]>> slabs_;
+  std::vector<Event*> free_;
   Tick now_{0};
   std::uint64_t seq_{0};
   std::uint64_t executed_{0};
   std::int64_t live_{0};
-  /// True while the barrier replays deferred shared ops (scheduling from
-  /// an op would corrupt the merged order; checked).
-  bool replaying_{false};
-
-  // Sharding state. All default-inert: shard_count_ == 1 means the legacy
-  // single-heap engine with zero threads.
-  std::uint32_t shard_count_{1};
-  bool windows_enabled_{true};
-  HorizonSource horizon_source_;
-  Tick window_horizon_{0};
-  std::uint64_t windows_run_{0};
-  std::vector<Domain*> window_active_;
-  std::vector<std::vector<Domain*>> lane_work_;
-  std::vector<std::size_t> merge_exec_, merge_push_, merge_op_, merge_act_;
-
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_, cv_done_;
-  std::uint64_t window_gen_{0};
-  std::uint32_t lanes_pending_{0};
-  bool stopping_{false};
-
-  static thread_local ExecContext tls_;  // defined in engine.cc
 };
 
 }  // namespace mgcomp

@@ -7,8 +7,8 @@
 //   * collectives — block pulls at every lines_per_block reproduce the
 //     per-line reference digests bit-exactly, clean and under injected
 //     bit errors (the CRC/NACK/replay protocol covers blocks too);
-//   * determinism — the bulk collective fingerprint is identical across
-//     event-engine shard counts {1, 2, 4} and pinned by a recorded golden.
+//   * determinism — the bulk collective fingerprint is pinned by a
+//     recorded golden.
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -139,7 +139,7 @@ TEST(BulkRdma, PayloadPoolRecyclesBulkBuffers) {
 // Collective-level identity: block pulls must never change the math.
 
 CollectiveOutcome run_bulk(std::uint32_t ranks, std::uint32_t lines_per_block,
-                           double ber = 0.0, std::uint32_t shards = 0) {
+                           double ber = 0.0) {
   SystemConfig cfg;
   // Pinned: the golden fingerprint below encodes bus-fabric timing, which
   // a CI topology sweep (MGCOMP_TOPOLOGY=...) must not re-route.
@@ -147,7 +147,6 @@ CollectiveOutcome run_bulk(std::uint32_t ranks, std::uint32_t lines_per_block,
   cfg.num_gpus = ranks;
   cfg.policy = make_adaptive_policy(AdaptiveParams{});
   cfg.fault.bit_error_rate = ber;
-  cfg.shards = shards;
   MultiGpuSystem sys(std::move(cfg));
   CollectiveConfig ccfg;
   ccfg.lines_per_rank = 256;
@@ -192,25 +191,14 @@ TEST(BulkCollective, FasterThanPerLineOnCompressibleFill) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: the bulk schedule is identical across engine shard counts,
-// and pinned by a recorded golden so silent drift fails loudly.
-
-TEST(BulkCollective, FingerprintInvariantAcrossShards) {
-  const CollectiveOutcome serial = run_bulk(4, 16, 0.0, /*shards=*/1);
-  ASSERT_TRUE(serial.verified);
-  const std::uint64_t want = collective_fingerprint(serial);
-  for (const std::uint32_t shards : {2u, 4u}) {
-    const CollectiveOutcome sharded = run_bulk(4, 16, 0.0, shards);
-    ASSERT_TRUE(sharded.verified) << "shards=" << shards;
-    EXPECT_EQ(collective_fingerprint(sharded), want) << "shards=" << shards;
-  }
-}
+// Determinism: the bulk schedule is pinned by a recorded golden so silent
+// drift fails loudly.
 
 TEST(BulkCollective, GoldenFingerprint) {
-  const CollectiveOutcome out = run_bulk(4, 16, 0.0, /*shards=*/1);
+  const CollectiveOutcome out = run_bulk(4, 16);
   ASSERT_TRUE(out.verified);
   // Recorded golden for: all-reduce, 4 ranks, 256 lines per rank, lowrange
-  // fill, adaptive policy, lines_per_block = 16, serial engine. Any timing
+  // fill, adaptive policy, lines_per_block = 16. Any timing
   // or protocol change on the bulk path shows up here first; update only
   // with a justification in the commit message.
   EXPECT_EQ(collective_fingerprint(out), 0xc57ba21dcfcd91cfULL)

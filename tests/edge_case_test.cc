@@ -165,6 +165,33 @@ TEST(SystemEdgeDeathTest, FailedVerificationAborts) {
       "verification failed");
 }
 
+// A zero-bandwidth fabric would divide by zero on its first transfer; each
+// fabric rejects it at construction with a named reason instead.
+TEST(SystemEdgeDeathTest, ZeroFabricBandwidthIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const struct {
+    FabricKind kind;
+    const char* error;
+  } kCases[] = {
+      {FabricKind::kBus, "BusFabric: bytes_per_cycle must be >= 1"},
+      {FabricKind::kSwitch, "SwitchFabric: bytes_per_cycle must be >= 1"},
+      {FabricKind::kHier, "HierFabric: bytes_per_cycle must be >= 1"},
+  };
+  for (const auto& c : kCases) {
+    SystemConfig cfg;
+    cfg.fabric = c.kind;
+    cfg.bus.bytes_per_cycle = 0;
+    EXPECT_DEATH({ MultiGpuSystem sys(cfg); }, c.error);
+  }
+}
+
+TEST(SystemEdgeDeathTest, ShardsOtherThanOneAreRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SystemConfig cfg;
+  cfg.shards = 4;
+  EXPECT_DEATH({ MultiGpuSystem sys(cfg); }, "sharded execution was removed");
+}
+
 // ---------------------------------------------------------------------------
 // Workload factory edges.
 // ---------------------------------------------------------------------------

@@ -40,45 +40,6 @@ TEST(Engine, SameTickFifo) {
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(Engine, ShardCountClampedToDrainableDomains) {
-  // Only the num_domains - 1 GPU domains drain in parallel, so lane counts
-  // beyond that clamp (with a warning) instead of spinning idle workers.
-  struct Case {
-    std::uint32_t shards;
-    Engine::DomainId domains;
-    std::uint32_t expect;
-  };
-  constexpr Case kTable[] = {
-      {1, 1, 1},    // legacy single-heap layout
-      {2, 3, 2},    // exact fit: two GPU domains, two lanes
-      {4, 3, 2},    // more lanes than GPU domains: clamped
-      {8, 5, 4},    // typical 4-GPU system under --shards 8
-      {64, 17, 16},  // the 16-GPU maximum
-      {4, 1, 1},    // no GPU domains at all: collapses to serial
-  };
-  for (const Case& c : kTable) {
-    Engine e;
-    e.configure_sharding(c.shards, c.domains);
-    EXPECT_EQ(e.shards(), c.expect)
-        << "shards " << c.shards << " over " << c.domains << " domains";
-  }
-}
-
-TEST(EngineDeathTest, RejectsOutOfRangeShardCounts) {
-  EXPECT_DEATH(
-      {
-        Engine e;
-        e.configure_sharding(0, 5);
-      },
-      "shards must be in");
-  EXPECT_DEATH(
-      {
-        Engine e;
-        e.configure_sharding(65, 70);
-      },
-      "shards must be in");
-}
-
 TEST(Engine, NestedScheduling) {
   Engine e;
   Tick fired_at = 0;
@@ -97,6 +58,36 @@ TEST(Engine, RunUntilStopsAtDeadline) {
   EXPECT_EQ(count, 50);
   e.run();
   EXPECT_EQ(count, 100);
+}
+
+TEST(Engine, RunUntilSkipsCancelledHeadAtDeadline) {
+  Engine e;
+  bool cancelled_fired = false;
+  bool live_fired = false;
+  auto token = e.schedule_cancellable_at(10, [&] { cancelled_fired = true; });
+  e.schedule_at(10, [&] { live_fired = true; });
+  e.schedule_at(20, [] {});
+  e.cancel(token);
+
+  EXPECT_EQ(e.run_until(10), 10U);
+  EXPECT_FALSE(cancelled_fired);
+  EXPECT_TRUE(live_fired);
+  EXPECT_EQ(e.pending(), 1U);  // only the t=20 event remains
+}
+
+TEST(Engine, RunUntilWithOnlyCancelledEventsLeavesTimeUntouched) {
+  Engine e;
+  bool fired = false;
+  auto token = e.schedule_cancellable_at(5, [&] { fired = true; });
+  e.schedule_at(20, [] {});
+  e.cancel(token);
+
+  // The head below the deadline is dead: run_until must discard it without
+  // advancing now() and stop at the first live event beyond the deadline.
+  EXPECT_EQ(e.run_until(10), 0U);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(e.pending(), 1U);
+  EXPECT_EQ(e.queued(), 1U);  // the dead slot was reclaimed on pop
 }
 
 TEST(Engine, CancelledEventNeitherRunsNorAdvancesTime) {
