@@ -6,11 +6,13 @@
 #include <cctype>
 #include <cstdlib>
 #include <map>
+#include <random>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/system.h"
+#include "fault/episodes.h"
 #include "obs/latency_histogram.h"
 #include "obs/tracer.h"
 #include "sim/engine.h"
@@ -366,6 +368,33 @@ TEST(TracedSystem, FaultyRunIsBitIdenticalWithTracingToggled) {
   EXPECT_EQ(run_digest(off), run_digest(on));
 }
 
+TEST(TracedSystem, HealthMonitoredRunIsBitIdenticalWithTracingToggled) {
+  // Link-flap episodes arm the health monitor, whose probes and state
+  // transitions add tracer hooks of their own. On both fabrics they must
+  // leave the run untouched, and the trace must repeat byte for byte.
+  for (const FabricKind fabric : {FabricKind::kBus, FabricKind::kSwitch}) {
+    const auto run_flapping = [fabric](std::size_t trace_events) {
+      SystemConfig cfg = traced_config(trace_events);
+      cfg.fabric = fabric;
+      std::string error;
+      EXPECT_TRUE(parse_fault_episodes("flap:0-1@256+12288x2/12544", &cfg.episodes, &error))
+          << error;
+      auto wl = make_workload("MT", 0.05);
+      return run_workload(std::move(cfg), *wl);
+    };
+    const char* where = fabric == FabricKind::kBus ? "bus" : "switch";
+    const RunResult off = run_flapping(0);
+    const RunResult on = run_flapping(1 << 16);
+    const RunResult again = run_flapping(1 << 16);
+    ASSERT_GT(on.health.transitions(), 0u) << where;  // the monitor actually ran
+    EXPECT_EQ(run_digest(off), run_digest(on)) << where;
+    EXPECT_EQ(off.health.transitions(), on.health.transitions()) << where;
+    EXPECT_EQ(off.health.probes_sent, on.health.probes_sent) << where;
+    EXPECT_FALSE(on.trace_json.empty()) << where;
+    EXPECT_EQ(on.trace_json, again.trace_json) << where;
+  }
+}
+
 TEST(TracedSystem, ExportedTraceIsValidAndSpansAreWellFormed) {
   auto wl = make_workload("MT", 0.05);
   const RunResult r = run_workload(traced_config(1 << 16), *wl);
@@ -447,6 +476,58 @@ TEST(TracedSystem, LatencyHistogramsMatchRequestCounts) {
   EXPECT_EQ(r.remote_write_latency.count(), r.remote_writes());
   EXPECT_GT(r.remote_read_latency.percentile(0.5), 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// Every fabric: the bus grant, crossbar port and trunk-hop hooks stay
+// observational, and the exported trace is a function of the configuration
+// alone.
+// ---------------------------------------------------------------------------
+
+SystemConfig fabric_traced_config(FabricKind fabric, std::size_t trace_events) {
+  SystemConfig cfg = traced_config(trace_events);
+  cfg.fabric = fabric;
+  if (fabric == FabricKind::kHier) {
+    // Two nodes of two GPUs on 4:1 fat-tree trunks.
+    cfg.hier.gpus_per_node = 2;
+    cfg.hier.internode_bw_ratio = 4;
+    cfg.hier.graph = HierGraph::kFatTree;
+  }
+  return cfg;
+}
+
+class TracedFabricSweep : public ::testing::TestWithParam<std::string_view> {};
+
+TEST_P(TracedFabricSweep, TracingIsObservationalAndRepeatableOnEveryFabric) {
+  const std::string_view abbrev = GetParam();
+  // Seeded per workload: fixed for a given binary, but the scales differ
+  // across workloads so the sweep covers varied schedule shapes.
+  std::seed_seq seed(abbrev.begin(), abbrev.end());
+  std::mt19937 rng(seed);
+  const double scale = std::uniform_real_distribution<double>(0.03, 0.08)(rng);
+  for (const FabricKind fabric : {FabricKind::kBus, FabricKind::kSwitch, FabricKind::kHier}) {
+    const auto run_on = [&](std::size_t trace_events) {
+      auto wl = make_workload(abbrev, scale);
+      return run_workload(fabric_traced_config(fabric, trace_events), *wl);
+    };
+    const char* where = fabric == FabricKind::kBus      ? "bus"
+                        : fabric == FabricKind::kSwitch ? "switch"
+                                                        : "hier";
+    const RunResult off = run_on(0);
+    const RunResult on = run_on(1 << 16);
+    const RunResult again = run_on(1 << 16);
+    EXPECT_EQ(run_digest(off), run_digest(on))
+        << "tracing perturbed " << abbrev << " at scale " << scale << " on " << where;
+    EXPECT_GT(on.trace_events_recorded, 0u) << abbrev << " on " << where;
+    EXPECT_EQ(on.trace_json, again.trace_json)
+        << abbrev << " at scale " << scale << " on " << where;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, TracedFabricSweep,
+                         ::testing::ValuesIn(workload_abbrevs()),
+                         [](const ::testing::TestParamInfo<std::string_view>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace mgcomp
