@@ -1,11 +1,15 @@
 // Chaos soak harness: collectives under scheduled fail-stop fault domains.
 //
-// Sweeps episode rate (orders of magnitude apart, plus a rate-0 control) x
-// collective kind x compression policy on a 4-rank switch fabric with ring
-// shrink enabled. Each cell deterministically synthesizes a fault-episode
-// schedule from a seeded RNG — link-down windows, flaps, and at most one
-// GPU fail-stop — then runs the collective with small retry/health-probe
-// budgets so detection and recovery happen at benchmark timescales.
+// Sweeps fabric x episode rate (orders of magnitude apart, plus a rate-0
+// control) x collective kind x compression policy on 4 ranks with ring
+// shrink enabled. The fabrics are the switch crossbar, a 4:1 fat-tree of
+// two 2-GPU nodes and a 4:1 torus of four 1-GPU nodes, so episodes also
+// hit pairs whose traffic crosses trunks. Each cell deterministically
+// synthesizes a fault-episode schedule from a seeded RNG — link-down
+// windows, flaps, and at most one GPU fail-stop — then runs the collective
+// with small retry/health-probe budgets so detection and recovery happen at
+// benchmark timescales. A cell's schedule depends on its rate, collective
+// and policy, not on its fabric, so every fabric soaks the same schedules.
 //
 // The point is not bandwidth: it is that every configuration *terminates*
 // with an explicit verdict (completed / degraded / failed) instead of
@@ -37,7 +41,17 @@ constexpr Tick kHorizon = 1u << 17;
 /// chains) then plays out over the larger horizon.
 constexpr Tick kStartWindow = 1u << 11;
 
+/// One soaked fabric: a name for the rows and its topology pin (4:1
+/// trunks on the hierarchical ones).
+struct FabricCase {
+  const char* name;
+  FabricKind kind;
+  std::uint32_t gpus_per_node{4};
+  HierGraph graph{HierGraph::kFatTree};
+};
+
 struct Row {
+  std::string fabric;
   std::string collective;
   std::string policy;
   double rate{0.0};  ///< episodes per 100k ticks (0 = fault-free control)
@@ -85,11 +99,14 @@ std::vector<FaultEpisode> make_episodes(double rate, std::uint64_t seed, std::ui
   return eps;
 }
 
-Row run_cell(CollectiveKind kind, const bench::PolicyCase& pc, double rate,
-             std::uint64_t seed, std::size_t lines_per_rank) {
+Row run_cell(const FabricCase& fabric, CollectiveKind kind, const bench::PolicyCase& pc,
+             double rate, std::uint64_t seed, std::size_t lines_per_rank) {
   SystemConfig cfg;
   cfg.num_gpus = 4;
-  cfg.fabric = FabricKind::kSwitch;  // route-around covers single-link loss
+  cfg.fabric = fabric.kind;  // every soaked fabric routes around a single dead link
+  cfg.hier.gpus_per_node = fabric.gpus_per_node;
+  cfg.hier.internode_bw_ratio = 4;
+  cfg.hier.graph = fabric.graph;
   cfg.policy = pc.factory;
   cfg.episodes = make_episodes(rate, seed, cfg.num_gpus);
   // Small budgets: detect, back off, and declare failure at bench
@@ -111,6 +128,7 @@ Row run_cell(CollectiveKind kind, const bench::PolicyCase& pc, double rate,
   ccfg.seed ^= seed;  // distinct payloads per cell, still deterministic
 
   Row row;
+  row.fabric = fabric.name;
   row.collective = std::string(to_string(kind));
   row.policy = pc.label;
   row.rate = rate;
@@ -133,13 +151,15 @@ std::string to_json(const std::vector<Row>& rows, double scale) {
   std::string out = "{\n";
   char buf[640];
   std::snprintf(buf, sizeof(buf),
-                "  \"schema\": \"mgcomp-bench-chaos-v1\",\n  \"scale\": %g,\n"
+                "  \"schema\": \"mgcomp-bench-chaos-v2\",\n  \"scale\": %g,\n"
                 "  \"results\": [\n", scale);
   out += buf;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     const RunResult& run = r.out.run;
-    out += "    {\"collective\": ";
+    out += "    {\"fabric\": ";
+    append_json_string(out, r.fabric);
+    out += ", \"collective\": ";
     append_json_string(out, r.collective);
     out += ", \"policy\": ";
     append_json_string(out, r.policy);
@@ -191,26 +211,34 @@ int main(int argc, char** argv) {
   policies.push_back({"raw", make_no_compression_policy()});
   policies.push_back({"adaptive", make_adaptive_policy(AdaptiveParams{.lambda = 6.0})});
 
-  std::printf("Chaos soak, %zu KB per rank (scale %.2f), 4 ranks, switch fabric\n\n",
+  const FabricCase kFabrics[] = {
+      {"switch", FabricKind::kSwitch},
+      {"hier-fattree", FabricKind::kHier, 2, HierGraph::kFatTree},
+      {"hier-torus", FabricKind::kHier, 1, HierGraph::kTorus},
+  };
+
+  std::printf("Chaos soak, %zu KB per rank (scale %.2f), 4 ranks\n\n",
               lines * kLineBytes / 1024, scale);
-  std::printf("%-14s %-9s %7s %4s %10s %9s %8s %5s %10s\n", "collective", "policy", "rate",
-              "eps", "verdict", "error", "attempts", "part", "survivors");
+  std::printf("%-12s %-14s %-9s %7s %4s %10s %9s %8s %5s %10s\n", "fabric", "collective",
+              "policy", "rate", "eps", "verdict", "error", "attempts", "part", "survivors");
 
   std::vector<Row> rows;
-  std::uint64_t cell = 0;
-  for (const double rate : kRates) {
-    for (const CollectiveKind kind : kKinds) {
-      for (const bench::PolicyCase& pc : policies) {
-        // Per-cell seed: deterministic and distinct across the sweep.
-        const std::uint64_t seed = 0xc4a05u + cell * 0x9e3779b97f4a7c15ULL;
-        ++cell;
-        rows.push_back(run_cell(kind, pc, rate, seed, lines));
-        const Row& r = rows.back();
-        std::printf("%-14s %-9s %7g %4zu %10s %9s %8u %5s %10zu\n", r.collective.c_str(),
-                    r.policy.c_str(), r.rate, r.episodes,
-                    std::string(to_string(r.out.status)).c_str(),
-                    std::string(to_string(r.out.error.kind)).c_str(), r.out.attempts,
-                    r.out.partial ? "yes" : "no", r.out.surviving_ranks.size());
+  for (const FabricCase& fabric : kFabrics) {
+    std::uint64_t cell = 0;
+    for (const double rate : kRates) {
+      for (const CollectiveKind kind : kKinds) {
+        for (const bench::PolicyCase& pc : policies) {
+          // Per-cell seed: deterministic and distinct across the sweep.
+          const std::uint64_t seed = 0xc4a05u + cell * 0x9e3779b97f4a7c15ULL;
+          ++cell;
+          rows.push_back(run_cell(fabric, kind, pc, rate, seed, lines));
+          const Row& r = rows.back();
+          std::printf("%-12s %-14s %-9s %7g %4zu %10s %9s %8u %5s %10zu\n", r.fabric.c_str(),
+                      r.collective.c_str(), r.policy.c_str(), r.rate, r.episodes,
+                      std::string(to_string(r.out.status)).c_str(),
+                      std::string(to_string(r.out.error.kind)).c_str(), r.out.attempts,
+                      r.out.partial ? "yes" : "no", r.out.surviving_ranks.size());
+        }
       }
     }
   }
@@ -221,13 +249,13 @@ int main(int argc, char** argv) {
   for (const Row& r : rows) {
     if (r.rate == 0.0 &&
         (r.out.status != CollectiveStatus::kCompleted || r.out.attempts != 1)) {
-      std::fprintf(stderr, "bench_chaos: control row not pristine (%s/%s)\n",
-                   r.collective.c_str(), r.policy.c_str());
+      std::fprintf(stderr, "bench_chaos: control row not pristine (%s/%s/%s)\n",
+                   r.fabric.c_str(), r.collective.c_str(), r.policy.c_str());
       ok = false;
     }
     if (!r.out.verified && r.out.status != CollectiveStatus::kFailed) {
-      std::fprintf(stderr, "bench_chaos: unverified non-failed row (%s/%s rate %g)\n",
-                   r.collective.c_str(), r.policy.c_str(), r.rate);
+      std::fprintf(stderr, "bench_chaos: unverified non-failed row (%s/%s/%s rate %g)\n",
+                   r.fabric.c_str(), r.collective.c_str(), r.policy.c_str(), r.rate);
       ok = false;
     }
   }

@@ -14,10 +14,9 @@
 //     --tier      chip|die|package|node       (default die)
 //     --ber       <bit error rate>            (default 0; enables reliability layer)
 //     --drop      <message drop rate>         (default 0)
-//     --fabric    bus|switch                  (default bus)
 //     --topology  bus|switch|hier|hier-fattree|hier-torus
-//                                              (pins the fabric; overrides
-//                                               --fabric and MGCOMP_TOPOLOGY)
+//                                              (pins the fabric; default bus
+//                                               unless MGCOMP_TOPOLOGY is set)
 //     --gpus-per-node <int>                    (hier node grouping, default 4;
 //                                               must divide --gpus)
 //     --internode-bw-ratio <int>               (trunk oversubscription,
@@ -71,8 +70,7 @@ struct Options {
   std::string tier{"die"};
   double ber{0.0};   ///< link bit-error rate (reliability extension)
   double drop{0.0};  ///< link message-drop rate
-  std::string fabric{"bus"};
-  std::string topology;              ///< explicit fabric pin ("" = --fabric / env)
+  std::string topology;              ///< explicit fabric pin ("" = bus or MGCOMP_TOPOLOGY)
   std::uint32_t gpus_per_node{0};    ///< hier node grouping (0 = config default)
   std::uint32_t internode_bw_ratio{0};  ///< trunk oversubscription (0 = default)
   std::string fault_episodes;  ///< fail-stop episode spec ("" = none)
@@ -142,10 +140,6 @@ bool parse(int argc, char** argv, Options& o) {
       const char* v = next();
       if (v == nullptr) return false;
       o.drop = std::atof(v);
-    } else if (arg == "--fabric") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      o.fabric = v;
     } else if (arg == "--topology") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -243,7 +237,7 @@ void usage() {
       "[--policy none|fpc|bdi|cpack|adaptive]\n"
       "                [--lambda F] [--scale F] [--gpus N] [--bus B/cyc]\n"
       "                [--samples N] [--running N] [--tier chip|die|package|node]\n"
-      "                [--ber RATE] [--drop RATE] [--fabric bus|switch]\n"
+      "                [--ber RATE] [--drop RATE]\n"
       "                [--topology bus|switch|hier|hier-fattree|hier-torus]\n"
       "                [--gpus-per-node N] [--internode-bw-ratio R]\n"
       "                [--fault-episodes SPEC] [--allow-shrink]\n"
@@ -278,14 +272,8 @@ int main(int argc, char** argv) {
   cfg.characterize = o.characterize;
   cfg.fault.bit_error_rate = o.ber;
   cfg.fault.drop_rate = o.drop;
-  if (o.fabric == "switch") {
-    cfg.fabric = FabricKind::kSwitch;
-  } else if (o.fabric != "bus") {
-    std::fprintf(stderr, "unknown fabric: %s\n", o.fabric.c_str());
-    return 2;
-  }
   // --topology pins the fabric explicitly (including "bus", which disables
-  // the MGCOMP_TOPOLOGY sweep); it wins over the legacy --fabric alias.
+  // the MGCOMP_TOPOLOGY sweep).
   if (!o.topology.empty()) {
     FabricKind kind = FabricKind::kBus;
     HierGraph graph = cfg.hier.graph;

@@ -524,8 +524,7 @@ CollectiveOutcome run_collective(MultiGpuSystem& sys, const CollectiveConfig& cf
     RunState rs{&sys, &space, cfg, &st, sys.engine().now(), sys.health()};
 
     // A shrunk ring breaks the node grouping, so a shrink retry falls back
-    // to the flat schedule (the hierarchical fabric forbids fail-stop
-    // episodes anyway, so this only triggers when the algo was forced).
+    // to the flat schedule.
     const bool hier_attempt = use_hier && members.size() == n;
     st.algo = hier_attempt ? "hier" : "flat";
     st.nodes = hier_attempt ? n / gpn : 1;
@@ -586,6 +585,9 @@ CollectiveOutcome run_collective(MultiGpuSystem& sys, const CollectiveConfig& cf
         }
       }
     }
+    // Each stage barrier drains the whole event queue, so an open fail-stop
+    // episode window (its end event, probe chains) holds the next stage
+    // back until the window closes.
     for (auto& stage : stages) {
       if (rs.aborted) break;  // a doomed attempt skips its later stages
       for (auto& t : stage) t->start();

@@ -17,8 +17,6 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig config) : config_(std::move(config))
                      "SystemConfig::hier.gpus_per_node must divide num_gpus");
     MGCOMP_CHECK_MSG(topo_.hier.internode_bw_ratio >= 1,
                      "SystemConfig::hier.internode_bw_ratio must be >= 1");
-    MGCOMP_CHECK_MSG(config_.episodes.empty(),
-                     "hierarchical fabric has no fail-stop episode support");
   }
 
   MGCOMP_CHECK_MSG(config_.shards == 1,
@@ -32,24 +30,19 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig config) : config_(std::move(config))
   if (config_.characterize) collector_->enable_characterization(*codecs_);
   if (config_.trace_samples > 0) collector_->enable_trace(*codecs_, config_.trace_samples);
 
-  switch (topo_.fabric) {
-    case FabricKind::kSwitch:
-      bus_ = std::make_unique<SwitchFabric>(
-          *engine_,
-          SwitchFabric::Params{.bytes_per_cycle = config_.bus.bytes_per_cycle,
-                               .input_buffer_bytes = config_.bus.input_buffer_bytes});
-      break;
-    case FabricKind::kHier:
-      bus_ = std::make_unique<HierFabric>(
-          *engine_,
-          HierFabric::Params{.bytes_per_cycle = config_.bus.bytes_per_cycle,
-                             .input_buffer_bytes = config_.bus.input_buffer_bytes,
-                             .topo = topo_.hier});
-      break;
-    case FabricKind::kAuto:  // resolved_topology() never returns kAuto
-    case FabricKind::kBus:
-      bus_ = std::make_unique<BusFabric>(*engine_, config_.bus);
-      break;
+  if (topo_.fabric == FabricKind::kBus) {
+    bus_ = std::make_unique<BusFabric>(*engine_, config_.bus);
+  } else {
+    // The switch is the port-based fabric with every GPU on one node.
+    HierTopology topo = topo_.hier;
+    if (topo_.fabric == FabricKind::kSwitch) {
+      topo = HierTopology{.gpus_per_node = config_.num_gpus};
+    }
+    bus_ = std::make_unique<HierFabric>(
+        *engine_,
+        HierFabric::Params{.bytes_per_cycle = config_.bus.bytes_per_cycle,
+                           .input_buffer_bytes = config_.bus.input_buffer_bytes,
+                           .topo = topo});
   }
   if (config_.fault.any()) {
     fault_ = std::make_unique<FaultInjector>(config_.fault);

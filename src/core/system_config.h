@@ -13,7 +13,6 @@
 #include "compression/cost_model.h"
 #include "fabric/bus.h"
 #include "fabric/hier_fabric.h"
-#include "fabric/switch_fabric.h"
 #include "fault/episodes.h"
 #include "fault/fault_injector.h"
 #include "fault/health.h"
@@ -23,9 +22,11 @@ namespace mgcomp {
 
 /// Interconnect topology. The paper evaluates the shared bus; the switch
 /// and the two-level hierarchical fabric are this repo's what-if
-/// extensions. kAuto (the default) resolves to the bus unless the
-/// MGCOMP_TOPOLOGY environment variable overrides it — tests and tools
-/// that depend on a specific fabric's timing pin one explicitly.
+/// extensions, and both are HierFabric (kSwitch puts every GPU on one
+/// node, whatever `SystemConfig::hier` says). kAuto (the default) resolves
+/// to the bus unless the MGCOMP_TOPOLOGY environment variable overrides it
+/// — tests and tools that depend on a specific fabric's timing pin one
+/// explicitly.
 enum class FabricKind : std::uint8_t { kAuto, kBus, kSwitch, kHier };
 
 /// Parses a --topology / MGCOMP_TOPOLOGY spelling: "bus", "switch",
@@ -136,12 +137,11 @@ struct SystemConfig {
 
   /// The topology this config actually runs with. An explicit `fabric` pin
   /// wins unconditionally. kAuto resolves from MGCOMP_TOPOLOGY (so CI can
-  /// sweep the whole suite across fabrics), except when fail-stop episodes
-  /// are configured — the hierarchical fabric has no route-around/health
-  /// support, so episode runs stay on their default bus. An env-selected
-  /// hier topology must keep arbitrary suite configs valid: a
-  /// MGCOMP_GPUS_PER_NODE that does not divide num_gpus falls back to a
-  /// single node (pure crossbar) instead of failing the run.
+  /// sweep the whole suite across fabrics), fail-stop episode runs
+  /// included. An env-selected hier topology must keep arbitrary suite
+  /// configs valid: a MGCOMP_GPUS_PER_NODE that does not divide num_gpus
+  /// falls back to a single node (pure crossbar) instead of failing the
+  /// run.
   [[nodiscard]] ResolvedTopology resolved_topology() const noexcept {
     ResolvedTopology rt;
     rt.hier = hier;
@@ -150,7 +150,6 @@ struct SystemConfig {
       return rt;
     }
     rt.fabric = FabricKind::kBus;
-    if (!episodes.empty()) return rt;
     if (const char* env = std::getenv("MGCOMP_TOPOLOGY")) {
       FabricKind k = FabricKind::kBus;
       HierGraph g = rt.hier.graph;

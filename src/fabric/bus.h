@@ -62,8 +62,9 @@ struct BusStats {
   /// Queued messages discarded at arbitration because the destination GPU
   /// (or the sender itself) was declared DOWN by the health monitor.
   std::uint64_t discarded_to_dead{0};
-  /// Switch-fabric route-around: messages detoured past a DOWN link, and
-  /// the extra serialization cycles the detour cost.
+  /// Port-based fabric (HierFabric) route-around: messages detoured past a
+  /// DOWN link, and the extra serialization cycles the detours cost (one
+  /// more copy of every segment of the direct route).
   std::uint64_t rerouted_messages{0};
   std::uint64_t reroute_extra_cycles{0};
 

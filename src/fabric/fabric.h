@@ -1,10 +1,11 @@
 // Abstract inter-GPU fabric interface.
 //
 // The paper models a single shared bus (Section VI-B); real multi-GPU
-// parts are moving to switched fabrics (NVLink/NVSwitch-class). Both
-// topologies implement this interface so the rest of the system — RDMA
-// engines, CPU host, stats — is topology-agnostic and `bench_ablation`
-// can compare them directly.
+// parts are moving to switched fabrics (NVLink/NVSwitch-class). The bus
+// (BusFabric) and the port-based fabric (HierFabric: a crossbar switch, or
+// nodes of crossbars joined by trunks) implement this interface so the rest
+// of the system — RDMA engines, CPU host, stats — is topology-agnostic and
+// `bench_ablation` can compare them directly.
 #pragma once
 
 #include <functional>
@@ -51,13 +52,14 @@ class Fabric {
 
   /// Installs the fail-stop health view: physically dead wires/endpoints
   /// (oracle) gate delivery, and believed-DOWN state drives arbitration
-  /// (bus: stall-with-deadline; switch: route-around). Null (the default)
-  /// models a fabric with no fail-stop domains.
-  virtual void set_health_monitor(HealthMonitor* health) noexcept { (void)health; }
+  /// (bus: stall-with-deadline; port-based fabric: route-around on any
+  /// node count). Null (the default) models a fabric with no fail-stop
+  /// domains.
+  virtual void set_health_monitor(HealthMonitor* health) noexcept = 0;
 
   /// Health transition hook: re-arbitrates traffic stalled behind a link
   /// that just changed state (recovered, or a peer declared dead).
-  virtual void on_health_change() {}
+  virtual void on_health_change() = 0;
 
   // Introspection for watchdog diagnostics: how full each endpoint's
   // buffers are when a run stops making progress.

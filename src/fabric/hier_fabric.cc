@@ -4,7 +4,9 @@
 
 #include "common/assert.h"
 #include "fault/fault_injector.h"
+#include "fault/health.h"
 #include "obs/tracer.h"
+#include "sim/callback.h"
 
 namespace mgcomp {
 
@@ -35,8 +37,7 @@ EndpointId HierFabric::add_endpoint(std::string name, bool is_gpu, DeliverFn del
   return EndpointId{static_cast<std::uint32_t>(endpoints_.size() - 1)};
 }
 
-void HierFabric::finalize_links() {
-  if (links_built_) return;
+void HierFabric::build_links() {
   links_built_ = true;
   if (params_.topo.graph == HierGraph::kFatTree) {
     links_.assign(static_cast<std::size_t>(num_nodes_) * 2, TrunkLink{});
@@ -122,6 +123,36 @@ void HierFabric::consume(EndpointId id, std::size_t bytes) {
   }
 }
 
+void HierFabric::on_health_change() {
+  for (std::size_t s = 0; s < endpoints_.size(); ++s) pump(s);
+}
+
+std::uint32_t HierFabric::pick_via(std::uint32_t src, std::uint32_t dst) const {
+  for (std::uint32_t m = 0; m < endpoints_.size(); ++m) {
+    if (m == src || m == dst) continue;
+    const EndpointId mid{m};
+    if (health_->endpoint_down(mid)) continue;
+    if (!health_->link_usable(EndpointId{src}, mid)) continue;
+    if (!health_->link_usable(mid, EndpointId{dst})) continue;
+    return m;
+  }
+  return kDirect;
+}
+
+void HierFabric::purge_undeliverable(std::size_t idx) {
+  Endpoint& src = endpoints_[idx];
+  const bool src_dead = health_->endpoint_dead(EndpointId{static_cast<std::uint32_t>(idx)});
+  while (!src.out.empty() &&
+         (src_dead || health_->endpoint_down(src.out.front().dst))) {
+    src.out.pop_front();
+    ++stats_.discarded_to_dead;
+    if (tracer_ != nullptr) {
+      tracer_->instant(endpoint_track(static_cast<std::uint32_t>(idx)), "discard_to_dead",
+                       "fault");
+    }
+  }
+}
+
 void HierFabric::pump(std::size_t src_idx) {
   Endpoint& src = endpoints_[src_idx];
   src.head_blocked = false;
@@ -129,26 +160,45 @@ void HierFabric::pump(std::size_t src_idx) {
   // serialize them in time, so scheduling several ahead is safe and keeps
   // the event count at one per message.
   while (!src.out.empty()) {
+    if (health_ != nullptr) {
+      purge_undeliverable(src_idx);
+      if (src.out.empty()) return;
+    }
     const Message& head = src.out.front();
     Endpoint& dst = endpoints_[head.dst.value];
-    // Same jumbo-grant rule as the bus and switch: oversized bulk messages
-    // are admitted only into an empty input buffer.
+    // Same jumbo-grant rule as the bus: oversized bulk messages are
+    // admitted only into an empty input buffer.
     if (dst.in_bytes + head.wire_bytes() > params_.input_buffer_bytes &&
         !(dst.in_bytes == 0 && head.wire_bytes() > params_.input_buffer_bytes)) {
       src.head_blocked = true;  // wake on consume()
       return;
     }
-    dst.in_bytes += head.wire_bytes();
 
+    // Route-around: a head targeting a believed-DOWN link detours through
+    // an intermediate endpoint when one has believed-usable links to both
+    // sides. The detour is modeled as doubled serialization on every
+    // segment of the direct route (two wire traversals); with no alternate
+    // the head stalls and on_health_change() wakes it.
+    std::uint32_t via = kDirect;
+    Tick cycle_factor = 1;
+    if (health_ != nullptr && health_->link_down(head.src, head.dst)) {
+      via = pick_via(head.src.value, head.dst.value);
+      if (via == kDirect) {
+        src.head_blocked = true;  // wake on recovery or peer death
+        return;
+      }
+      cycle_factor = 2;
+    }
     const std::size_t wire = head.wire_bytes();
-    const Tick c_intra = intra_cycles(wire);
+    dst.in_bytes += wire;
 
-    Tick arrive;
+    const Tick c_intra = intra_cycles(wire) * cycle_factor;
+    Tick start = 0;
+    Tick arrive = 0;
     std::uint32_t hops = 0;
     if (src.node == dst.node) {
-      // Intra-node: one crossbar traversal occupying both ports at once,
-      // exactly the switch fabric's timing model.
-      const Tick start = std::max({engine_->now(), src.out_port_free, dst.in_port_free});
+      // Intra-node: one crossbar traversal occupying both ports at once.
+      start = std::max({engine_->now(), src.out_port_free, dst.in_port_free});
       src.out_port_free = start + c_intra;
       dst.in_port_free = start + c_intra;
       stats_.busy_cycles += c_intra;
@@ -160,8 +210,8 @@ void HierFabric::pump(std::size_t src_idx) {
       // then the destination in-port segment. Every reservation starts at
       // max(previous segment's end, the resource's free tick), so frees
       // only move forward.
-      const Tick c_trunk = trunk_cycles(wire);
-      const Tick start = std::max(engine_->now(), src.out_port_free);
+      const Tick c_trunk = trunk_cycles(wire) * cycle_factor;
+      start = std::max(engine_->now(), src.out_port_free);
       src.out_port_free = start + c_intra;
       stats_.busy_cycles += c_intra;
       stats_.record_busy(start, c_intra);
@@ -179,16 +229,35 @@ void HierFabric::pump(std::size_t src_idx) {
       stats_.record_busy(in_start, c_intra);
       arrive = in_start + c_intra;
     }
+    if (via != kDirect) {
+      // The second traversal of each segment is the detour's extra cost.
+      ++stats_.rerouted_messages;
+      stats_.reroute_extra_cycles +=
+          intra_cycles(wire) * (hops == 0 ? 1 : 2) + trunk_cycles(wire) * hops;
+      if (tracer_ != nullptr) {
+        tracer_->instant(kFabricTrack, "reroute", "fault", via);
+      }
+    }
+    if (tracer_ != nullptr) {
+      // Recorded at launch, where both ends are known: the span covers the
+      // whole time in the fabric (out port, trunks or a detour's second
+      // traversal, in port), and untraced runs carry no start tick.
+      tracer_->span(kFabricTrack, msg_type_name(head.type).data(), "fabric", start, arrive,
+                    wire);
+    }
 
     Message msg = std::move(src.out.front());
     src.out.pop_front();
-    engine_->schedule_at(arrive, [this, msg = std::move(msg), hops]() mutable {
-      complete(std::move(msg), hops);
-    });
+    auto on_arrival = [this, msg = std::move(msg), hops, via]() mutable {
+      complete(std::move(msg), hops, via);
+    };
+    static_assert(sizeof(on_arrival) <= InlineFunction::kInlineBytes,
+                  "the per-message arrival event must fit the engine's inline callback");
+    engine_->schedule_at(arrive, std::move(on_arrival));
   }
 }
 
-void HierFabric::complete(Message msg, std::uint32_t hops) {
+void HierFabric::complete(Message msg, std::uint32_t hops, std::uint32_t via) {
   stats_.record_pair(msg.src, msg.dst, endpoints_.size(), msg.wire_bytes());
   const bool inter_gpu =
       endpoints_[msg.src.value].is_gpu && endpoints_[msg.dst.value].is_gpu;
@@ -201,17 +270,36 @@ void HierFabric::complete(Message msg, std::uint32_t hops) {
 
   if (tracer_ != nullptr) {
     const Tick end = engine_->now();
-    const Tick cycles = intra_cycles(msg.wire_bytes());
-    tracer_->span(kFabricTrack, msg_type_name(msg.type).data(), "fabric", end - cycles, end,
-                  msg.wire_bytes());
     tracer_->counter(
         kFabricTrack, "utilization",
         stats_.utilization(static_cast<std::size_t>(end / BusStats::kUtilizationBucketCycles)));
   }
 
-  // Link faults apply per completed transfer, exactly as on the bus and
-  // switch; delivered stats accrue only for messages that pass the drop
-  // gate.
+  // Fail-stop gate: the transfer is lost if any wire it actually traversed
+  // (direct, or both detour hops) was dead, or if either end died. A detour
+  // hop through a dead intermediate is lost too.
+  if (health_ != nullptr) {
+    bool lost = health_->endpoint_dead(msg.dst);
+    if (via == kDirect) {
+      lost = lost || health_->wire_dead(msg.src, msg.dst);
+    } else {
+      const EndpointId mid{via};
+      lost = lost || health_->wire_dead(msg.src, mid) || health_->wire_dead(mid, msg.dst) ||
+             health_->endpoint_dead(mid);
+    }
+    if (lost) {
+      ++stats_.down_link_drops;
+      stats_.down_link_dropped_bytes += msg.wire_bytes();
+      if (tracer_ != nullptr) {
+        tracer_->instant(kFabricTrack, "episode_drop", "fault", msg.wire_bytes());
+      }
+      consume(msg.dst, msg.wire_bytes());  // releases buffer, wakes blocked sources
+      return;
+    }
+  }
+
+  // Link faults apply per completed transfer, exactly as on the bus;
+  // delivered stats accrue only for messages that pass the drop gate.
   if (injector_ != nullptr) {
     const FaultDecision fd = injector_->on_transmit(msg);
     if (fd.drop) {

@@ -1,14 +1,19 @@
-// Two-level hierarchical inter-GPU fabric: nodes of GPUs joined by trunks.
+// Port-based inter-GPU fabric: nodes of GPUs joined by trunks. The crossbar
+// switch is the one-node case.
 //
 // GPUs are grouped into nodes of `gpus_per_node` in registration order
 // (non-GPU endpoints — the CPU host — attach to node 0). Inside a node the
-// fabric behaves like the ideal crossbar switch: each endpoint owns one
+// fabric is an ideal (NVSwitch-like) crossbar: each endpoint owns one
 // output and one input port serializing at `bytes_per_cycle`, and disjoint
-// pairs transfer concurrently. Between nodes, messages additionally cross
-// one or more inter-node trunk links whose rate is `bytes_per_cycle /
-// internode_bw_ratio` — the oversubscription regime where adaptive link
-// compression pays off most (gZCCL-style hierarchy-aware collectives are
-// built on exactly this asymmetry).
+// pairs transfer concurrently. Per-source queues are FIFO, so a head-of-line
+// message whose destination buffer is full blocks that source (but no
+// other). Between nodes, messages additionally cross one or more inter-node
+// trunk links whose rate is `bytes_per_cycle / internode_bw_ratio` — the
+// oversubscription regime where adaptive link compression pays off most
+// (gZCCL-style hierarchy-aware collectives are built on exactly this
+// asymmetry). With `gpus_per_node` >= the GPU count there are no trunks:
+// that is the switch fabric (FabricKind::kSwitch), whose aggregate
+// bandwidth scales with endpoint count, unlike the paper's shared bus.
 //
 // The switch graph joining the nodes is pluggable:
 //   * kFatTree — every node has one up-link to a non-blocking spine and one
@@ -21,8 +26,19 @@
 // Transfers are store-and-forward: a message occupies its source's output
 // port for ceil(W / intra_rate) cycles, then each trunk link on its route
 // for ceil(W / trunk_rate) cycles in sequence (queueing behind earlier
-// traffic on that link), then the destination's input port. One engine
-// event per message fires at final arrival.
+// traffic on that link), then the destination's input port. Inside a node
+// the two ports are held together for one ceil(W / intra_rate) window. One
+// engine event per message fires at final arrival.
+//
+// Fail-stop episodes (a HealthMonitor is installed): queued messages to or
+// from a dead GPU are purged, and a message whose endpoint pair is believed
+// DOWN detours through the lowest endpoint with believed-usable links to
+// both sides. A detour pays twice the serialization of every segment of its
+// direct route (out port, each trunk link, in port); the via endpoint's own
+// ports and trunks are not reserved. With no detour available the head
+// stalls until a health change re-pumps it. The delivery gate then loses a
+// message whose wires (direct, or both detour hops) or endpoints were
+// physically dead.
 #pragma once
 
 #include <deque>
@@ -73,6 +89,10 @@ class HierFabric final : public Fabric {
   void set_fault_injector(FaultInjector* injector) noexcept override {
     injector_ = injector;
   }
+  void set_health_monitor(HealthMonitor* health) noexcept override { health_ = health; }
+  /// Re-pump every source: a recovered link unblocks stalled heads, a dead
+  /// peer lets them be purged.
+  void on_health_change() override;
   void set_tracer(Tracer* tracer) noexcept override { tracer_ = tracer; }
   [[nodiscard]] std::size_t endpoint_count() const noexcept override {
     return endpoints_.size();
@@ -113,9 +133,15 @@ class HierFabric final : public Fabric {
     Tick free{0};
   };
 
+  /// Sentinel for `via`: the message took its direct route.
+  static constexpr std::uint32_t kDirect = 0xffffffffu;
+
   /// Builds the trunk-link table once the endpoint set (and therefore the
-  /// node count) is complete. Called on the first send().
-  void finalize_links();
+  /// node count) is complete: on the first send() or trunk_hops().
+  void finalize_links() {
+    if (!links_built_) build_links();
+  }
+  void build_links();
 
   /// Directed trunk-link indices an inter-node message traverses, in order.
   [[nodiscard]] std::vector<std::uint32_t> route(std::uint32_t src_node,
@@ -123,7 +149,18 @@ class HierFabric final : public Fabric {
 
   /// Tries to launch transfers from `src`'s queue head.
   void pump(std::size_t src);
-  void complete(Message msg, std::uint32_t hops);
+  /// Fires at arrival. `hops` counts the trunk links the message crossed;
+  /// `via` names the detour endpoint (or kDirect), so the delivery gate
+  /// checks the wires actually traversed.
+  void complete(Message msg, std::uint32_t hops, std::uint32_t via);
+
+  /// Picks a detour endpoint for a believed-DOWN src->dst link: the lowest
+  /// endpoint whose links to both sides are believed usable. kDirect if no
+  /// alternate path exists.
+  [[nodiscard]] std::uint32_t pick_via(std::uint32_t src, std::uint32_t dst) const;
+
+  /// Pops and counts head-of-queue messages that can never be delivered.
+  void purge_undeliverable(std::size_t idx);
 
   [[nodiscard]] Tick intra_cycles(std::size_t wire_bytes) const noexcept {
     return std::max<Tick>(
@@ -147,6 +184,7 @@ class HierFabric final : public Fabric {
   std::uint32_t torus_cols_{1};  ///< grid width; rows = num_nodes_ / cols
   BusStats stats_;
   FaultInjector* injector_{nullptr};
+  HealthMonitor* health_{nullptr};
   Tracer* tracer_{nullptr};
 };
 

@@ -95,7 +95,7 @@ void HealthMonitor::on_link_success(EndpointId a, EndpointId b) {
       break;
     case HealthState::kDown:
       // A completed transfer while believed-DOWN is not proof the direct
-      // wire healed: on the switch fabric it may have detoured around it,
+      // wire healed: on the port-based fabric it may have detoured around it,
       // and crediting the detour would flip the link back to believed-up
       // while the wire is still dead (and every direct send then burns a
       // retry). Treat the success as a free probe instead: recover only

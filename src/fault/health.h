@@ -77,8 +77,8 @@ struct HealthStats {
 };
 
 /// Believed link/GPU health, fed by the reliability layer and consulted for
-/// policy decisions (bus stall, switch route-around, queue purges, ring
-/// shrink). Physical ground truth stays in the EpisodeScheduler; the
+/// policy decisions (bus stall, port-based fabric route-around, queue
+/// purges, ring shrink). Physical ground truth stays in the EpisodeScheduler; the
 /// `wire_dead`/`endpoint_dead` passthroughs exist so the fabric has a single
 /// dependency for both views.
 class HealthMonitor {

@@ -19,8 +19,9 @@
 //
 // When the ring fills, the OLDEST events are overwritten (the tail of a run
 // is usually where the interesting pathology is). Spans are stored whole —
-// recorded once at span end with their start tick — so eviction can never
-// orphan a begin without its end.
+// recorded once with both ends, at span end or, for a fabric transfer whose
+// arrival is fixed at launch, at launch — so eviction can never orphan a
+// begin without its end.
 #pragma once
 
 #include <cstdint>

@@ -372,6 +372,94 @@ TEST(CollectiveRecovery, SwitchRouteAroundMasksASingleDeadLink) {
   EXPECT_EQ(out.data_digest, clean.data_digest);
 }
 
+/// Eight ranks in two nodes of four on 4:1 fat-tree trunks, with the
+/// chaos detection budgets.
+SystemConfig hier_chaos_config(const char* spec) {
+  SystemConfig cfg = chaos_config(8, spec, FabricKind::kHier);
+  cfg.hier.gpus_per_node = 4;
+  cfg.hier.internode_bw_ratio = 4;
+  cfg.hier.graph = HierGraph::kFatTree;
+  return cfg;
+}
+
+TEST(CollectiveRecovery, HierRouteAroundMasksADeadCrossNodeLink) {
+  // GPU3-GPU4 is a ring hop that crosses the trunks. Once it is believed
+  // DOWN, the flat schedule's traffic on it detours through another
+  // endpoint and the first attempt completes.
+  CollectiveConfig ccfg;
+  ccfg.lines_per_rank = 64;
+  ccfg.algo = CollectiveAlgo::kFlat;
+  const CollectiveOutcome clean = run_case(8, ccfg, make_adaptive_policy(AdaptiveParams{}));
+  ASSERT_TRUE(clean.verified);
+
+  SystemConfig cfg = hier_chaos_config("down:3-4@0+100000000");
+  cfg.retry.timeout_cap = 1u << 15;
+  cfg.retry.max_retries = 6;  // enough slack to outlive detection + reroute
+  MultiGpuSystem sys(std::move(cfg));
+  const CollectiveOutcome out = run_collective(sys, ccfg);
+  EXPECT_EQ(out.status, CollectiveStatus::kCompleted);
+  EXPECT_EQ(out.attempts, 1u);
+  EXPECT_TRUE(out.verified);
+  EXPECT_FALSE(out.partial);
+  EXPECT_GT(out.run.bus.rerouted_messages, 0u);
+  EXPECT_GT(out.run.bus.trunk_messages, 0u);
+  EXPECT_EQ(out.data_digest, clean.data_digest);
+}
+
+TEST(CollectiveRecovery, HierScheduleRoutesAroundAFlapInsideANode) {
+  // GPU0-GPU1 carries the hierarchical schedule's first (intra-node)
+  // stage. While the flap holds it DOWN, that traffic detours through
+  // another endpoint of the node and the first attempt still completes.
+  CollectiveConfig ccfg;
+  ccfg.lines_per_rank = 64;
+  ccfg.max_attempts = 6;
+  const CollectiveOutcome clean = run_case(8, ccfg, make_adaptive_policy(AdaptiveParams{}));
+  ASSERT_TRUE(clean.verified);
+
+  MultiGpuSystem sys(hier_chaos_config("flap:0-1@100+12288x2/12544"));
+  const CollectiveOutcome out = run_collective(sys, ccfg);
+  EXPECT_EQ(out.run.collective.algo, "hier");
+  EXPECT_EQ(out.status, CollectiveStatus::kCompleted);
+  EXPECT_TRUE(out.verified);
+  EXPECT_EQ(out.data_digest, clean.data_digest);
+  EXPECT_GT(out.run.health.link_down, 0u);
+  EXPECT_GT(out.run.bus.rerouted_messages, 0u);
+}
+
+TEST(CollectiveRecovery, HierStageBarrierWaitsOutACrossNodeFlap) {
+  // Each stage barrier drains the whole event queue, episode events
+  // included, so the cross-node stage starts only after the flap's last
+  // window (ending at tick 25088) has closed. The run pays the wait but
+  // never meets the flap.
+  CollectiveConfig ccfg;
+  ccfg.lines_per_rank = 64;
+  const CollectiveOutcome clean = run_case(8, ccfg, make_adaptive_policy(AdaptiveParams{}));
+  ASSERT_TRUE(clean.verified);
+
+  MultiGpuSystem sys(hier_chaos_config("flap:1-6@256+12288x2/12544"));
+  const CollectiveOutcome out = run_collective(sys, ccfg);
+  EXPECT_EQ(out.run.collective.algo, "hier");
+  EXPECT_EQ(out.status, CollectiveStatus::kCompleted);
+  EXPECT_TRUE(out.verified);
+  EXPECT_EQ(out.data_digest, clean.data_digest);
+  EXPECT_GT(out.run.collective.duration, 25088u);
+  EXPECT_EQ(out.run.health.transitions(), 0u);
+}
+
+TEST(CollectiveRecovery, HierGpuFailStopShrinksToSurvivors) {
+  CollectiveConfig ccfg;
+  ccfg.lines_per_rank = 56;  // divides evenly across the 7 survivors
+  ccfg.allow_shrink = true;
+  ccfg.algo = CollectiveAlgo::kFlat;
+  MultiGpuSystem sys(hier_chaos_config("gpufail:5@100"));
+  const CollectiveOutcome out = run_collective(sys, ccfg);
+  EXPECT_EQ(out.status, CollectiveStatus::kDegraded);
+  EXPECT_TRUE(out.verified);
+  EXPECT_TRUE(out.partial);
+  EXPECT_EQ(out.surviving_ranks, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 6, 7}));
+  EXPECT_GT(out.run.health.gpu_down, 0u);
+}
+
 TEST(CollectiveRecovery, GpuFailStopShrinksRingToSurvivors) {
   CollectiveConfig ccfg;
   ccfg.lines_per_rank = 48;  // divides evenly across the 3 survivors

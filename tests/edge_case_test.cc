@@ -174,7 +174,7 @@ TEST(SystemEdgeDeathTest, ZeroFabricBandwidthIsRejected) {
     const char* error;
   } kCases[] = {
       {FabricKind::kBus, "BusFabric: bytes_per_cycle must be >= 1"},
-      {FabricKind::kSwitch, "SwitchFabric: bytes_per_cycle must be >= 1"},
+      {FabricKind::kSwitch, "HierFabric: bytes_per_cycle must be >= 1"},  // one-node case
       {FabricKind::kHier, "HierFabric: bytes_per_cycle must be >= 1"},
   };
   for (const auto& c : kCases) {

@@ -1,11 +1,17 @@
 // Hierarchical-fabric tests: intra-node crossbar behavior, store-and-
 // forward trunk timing (fat-tree and torus), trunk-link serialization,
-// oversubscription scaling, node grouping, trunk accounting and
-// backpressure.
+// oversubscription scaling, node grouping, trunk accounting, backpressure,
+// trace spans, and fail-stop route-around on one node and across nodes.
+#include <cmath>
+#include <cstdlib>
+
 #include <gtest/gtest.h>
 
 #include "core/system.h"
 #include "fabric/hier_fabric.h"
+#include "fault/episodes.h"
+#include "fault/health.h"
+#include "obs/tracer.h"
 #include "workloads/bitonic_sort.h"
 
 namespace mgcomp {
@@ -159,6 +165,136 @@ TEST(HierFabric, InputBufferBackpressureAcrossNodes) {
   h.fabric.consume(g[4], 68);
   h.engine.run();
   EXPECT_EQ(h.delivered.size(), 61u);
+}
+
+/// Durations (ticks) of every span in an exported trace, in record order.
+std::vector<Tick> span_durations(const std::string& json) {
+  std::vector<Tick> durs;
+  const std::string key = "\"dur\":";
+  for (std::size_t at = json.find(key); at != std::string::npos; at = json.find(key, at + 1)) {
+    const double us = std::atof(json.c_str() + at + key.size());
+    durs.push_back(static_cast<Tick>(std::llround(us * 1000.0)));
+  }
+  return durs;
+}
+
+TEST(HierFabric, TraceSpanRunsFromOutPortToArrival) {
+  HierHarness h;
+  const auto g = h.add_gpus(8);
+  Tracer tracer(h.engine, 64);
+  h.fabric.set_tracer(&tracer);
+  h.fabric.send(make_msg(g[0], g[1], MsgType::kDataReady, kPayloadBits));  // intra-node
+  h.engine.run();
+  h.fabric.send(make_msg(g[0], g[4], MsgType::kDataReady, kPayloadBits));  // cross-node
+  h.engine.run();
+  EXPECT_EQ(span_durations(tracer.export_json()),
+            (std::vector<Tick>{kIntra, kIntra + 2 * kTrunk + kIntra}));
+}
+
+// ---------------------------------------------------------------------------
+// Fail-stop route-around, with a link driven DOWN through the HealthMonitor.
+// A detour pays twice the serialization of every segment of its direct
+// route, on one node (the crossbar switch) and across nodes alike.
+// ---------------------------------------------------------------------------
+
+/// No probe ever re-tests a DOWN link, so a hand-driven DOWN belief stays.
+constexpr HealthParams kNoProbes{.probe_budget = 0};
+
+/// Feeds `down_after` consecutive errors so the a<->b link is believed DOWN.
+void drive_down(HealthMonitor& health, EndpointId a, EndpointId b) {
+  for (std::uint32_t i = 0; i < health.params().down_after; ++i) health.on_link_error(a, b);
+  ASSERT_TRUE(health.link_down(a, b));
+}
+
+TEST(HierFabricRouteAround, OneNodeDetourPaysTwoTraversals) {
+  HierHarness h;
+  const auto g = h.add_gpus(4);  // one node: the crossbar switch
+  HealthMonitor health(h.engine, 4, kNoProbes, nullptr);
+  h.fabric.set_health_monitor(&health);
+  Tracer tracer(h.engine, 64);
+  h.fabric.set_tracer(&tracer);
+  drive_down(health, g[0], g[1]);
+  h.fabric.send(make_msg(g[0], g[1], MsgType::kDataReady, kPayloadBits));
+  h.engine.run();
+  EXPECT_EQ(h.engine.now(), 2 * kIntra);
+  ASSERT_EQ(h.delivered.size(), 1u);
+  EXPECT_EQ(h.fabric.stats().rerouted_messages, 1u);
+  EXPECT_EQ(h.fabric.stats().reroute_extra_cycles, kIntra);
+  EXPECT_EQ(h.fabric.stats().busy_cycles, 2 * kIntra);
+  EXPECT_EQ(span_durations(tracer.export_json()), (std::vector<Tick>{2 * kIntra}));
+}
+
+TEST(HierFabricRouteAround, TwoNodeDetourDoublesEverySegment) {
+  HierHarness h;
+  const auto g = h.add_gpus(8);  // two nodes of four on 4:1 fat-tree trunks
+  HealthMonitor health(h.engine, 8, kNoProbes, nullptr);
+  h.fabric.set_health_monitor(&health);
+  drive_down(health, g[0], g[4]);
+  h.fabric.send(make_msg(g[0], g[4], MsgType::kDataReady, kPayloadBits));
+  h.engine.run();
+  const Tick direct = kIntra + 2 * kTrunk + kIntra;  // 36
+  EXPECT_EQ(h.engine.now(), 2 * direct);
+  ASSERT_EQ(h.delivered.size(), 1u);
+  EXPECT_EQ(h.fabric.stats().rerouted_messages, 1u);
+  EXPECT_EQ(h.fabric.stats().reroute_extra_cycles, direct);
+  EXPECT_EQ(h.fabric.stats().trunk_hops, 2u);
+  EXPECT_EQ(h.fabric.stats().trunk_busy_cycles, 2 * 2 * kTrunk);
+}
+
+TEST(HierFabricRouteAround, DetourThroughADeadViaIsLostAtTheGate) {
+  HierHarness h;
+  const auto g = h.add_gpus(4);
+  std::vector<FaultEpisode> episodes;
+  std::string error;
+  ASSERT_TRUE(parse_fault_episodes("gpufail:2@0", &episodes, &error)) << error;
+  const auto gpu_endpoint = [](std::uint32_t gpu) { return EndpointId{gpu}; };
+  EpisodeScheduler oracle(h.engine, episodes, 4, 4, gpu_endpoint);
+  HealthMonitor health(h.engine, 4, kNoProbes, &oracle);
+  oracle.bind(&health);
+  oracle.schedule_all();
+  h.fabric.set_health_monitor(&health);
+  drive_down(health, g[0], g[1]);
+  // G2 is physically dead from tick 0 but still believed alive (no
+  // heartbeat has been missed yet), so the detour picks it.
+  const Message msg = make_msg(g[0], g[1], MsgType::kDataReady, kPayloadBits);
+  h.engine.schedule_at(1, [&] { h.fabric.send(msg); });
+  h.engine.run();
+  EXPECT_TRUE(h.delivered.empty());
+  EXPECT_EQ(h.fabric.stats().rerouted_messages, 1u);
+  EXPECT_EQ(h.fabric.stats().down_link_drops, 1u);
+  EXPECT_EQ(h.fabric.in_buffer_bytes(g[1]), 0u);  // the loss released the buffer
+}
+
+TEST(HierFabricRouteAround, MessageToADownEndpointIsDiscarded) {
+  HierHarness h;
+  const auto g = h.add_gpus(8);
+  const HealthParams params{.heartbeat_interval = 10, .heartbeat_misses = 1};
+  HealthMonitor health(h.engine, 8, params, nullptr);
+  h.fabric.set_health_monitor(&health);
+  health.on_gpu_failstop(g[4]);
+  h.engine.run();  // one missed heartbeat declares G4 DOWN
+  ASSERT_TRUE(health.endpoint_down(g[4]));
+  h.fabric.send(make_msg(g[0], g[4], MsgType::kDataReady, kPayloadBits));
+  h.engine.run();
+  EXPECT_TRUE(h.delivered.empty());
+  EXPECT_EQ(h.fabric.stats().discarded_to_dead, 1u);
+  EXPECT_EQ(h.fabric.stats().total_messages(), 0u);
+  EXPECT_EQ(h.fabric.out_queue_depth(g[0]), 0u);
+}
+
+TEST(HierFabricRouteAround, HeadWithNoDetourWaitsForRecovery) {
+  HierHarness h;
+  const auto g = h.add_gpus(2);  // no third endpoint to detour through
+  const HealthParams params{.probe_interval = 100};
+  HealthMonitor health(h.engine, 2, params, nullptr);
+  health.set_on_change([&] { h.fabric.on_health_change(); });
+  h.fabric.set_health_monitor(&health);
+  drive_down(health, g[0], g[1]);
+  h.fabric.send(make_msg(g[0], g[1], MsgType::kDataReady, kPayloadBits));
+  h.engine.run();  // the first probe finds the wire alive and re-pumps G0
+  ASSERT_EQ(h.delivered.size(), 1u);
+  EXPECT_EQ(h.engine.now(), 100 + kIntra);
+  EXPECT_EQ(h.fabric.stats().rerouted_messages, 0u);
 }
 
 // ---------------------------------------------------------------------------

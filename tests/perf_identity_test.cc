@@ -11,10 +11,13 @@
 // behavior-changing commit must re-record these values and say so.
 // Beside the paper's bus, rows pin the switch crossbar, the reliability
 // layer at BER 1e-5, link-flap and link-down fail-stop episodes, and a 4:1
-// hierarchical fat-tree, each recorded at commit fd493be. Additionally,
-// every golden runs once per available SIMD backend (scalar / AVX2 /
-// NEON): backend selection must never change simulation results, only
-// throughput, so all backends must reproduce the identical fingerprints.
+// hierarchical fat-tree, each recorded at commit fd493be (the switch rows
+// now run on the one-node HierFabric), plus a link flap across the
+// fat-tree's trunks, recorded once episodes ran on hierarchical fabrics.
+// Additionally, every golden runs once per available SIMD backend (scalar
+// / AVX2 / NEON): backend selection must never change simulation results,
+// only throughput, so all backends must reproduce the identical
+// fingerprints.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -109,6 +112,8 @@ constexpr Golden kGoldens[] = {
     {"hier", "KM", "adaptive", 0x800096af7584ef35ULL},
     {"hier", "MT", "adaptive", 0x4829631d3e778a78ULL},
     {"hier", "SC", "adaptive", 0xdf1c1e7e6888f2a7ULL},
+    // Recorded when fail-stop episodes first ran on hierarchical fabrics.
+    {"hierflap", "KM", "adaptive", 0xd76c41bcb0cb44fbULL},
 };
 
 struct CaseSetup {
@@ -131,8 +136,9 @@ CaseSetup setup_for(const std::string& label) {
 /// The fabric and fault set-up of a golden row: "bus" (the paper's
 /// machine), "switch" (the crossbar), "lossy" (switch at BER 1e-5, the
 /// benchmark's lossy_switch mix), "flap" and "down" (switch with a
-/// link-flap or link-down episode on GPU0-GPU1), and "hier" (two nodes of
-/// two GPUs on 4:1 fat-tree trunks).
+/// link-flap or link-down episode on GPU0-GPU1), "hier" (two nodes of two
+/// GPUs on 4:1 fat-tree trunks) and "hierflap" (hier with a link flap on
+/// GPU0-GPU2, a pair in different nodes).
 SystemConfig config_for(const std::string& scenario) {
   SystemConfig cfg;
   // Pin every fabric so a CI topology sweep (MGCOMP_TOPOLOGY=...) can't
@@ -146,11 +152,16 @@ SystemConfig config_for(const std::string& scenario) {
     const char* spec = scenario == "flap" ? "flap:0-1@0+20000x3/40000" : "down:0-1@0+100000";
     std::string error;
     EXPECT_TRUE(parse_fault_episodes(spec, &cfg.episodes, &error)) << error;
-  } else if (scenario == "hier") {
+  } else if (scenario == "hier" || scenario == "hierflap") {
     cfg.fabric = FabricKind::kHier;
     cfg.hier.gpus_per_node = 2;
     cfg.hier.internode_bw_ratio = 4;
     cfg.hier.graph = HierGraph::kFatTree;
+    if (scenario == "hierflap") {
+      std::string error;
+      EXPECT_TRUE(parse_fault_episodes("flap:0-2@0+20000x3/40000", &cfg.episodes, &error))
+          << error;
+    }
   } else if (scenario != "switch") {
     ADD_FAILURE() << "unknown scenario " << scenario;
   }
@@ -218,6 +229,9 @@ TEST_P(PerfIdentityTest, FingerprintMatchesPreRewriteImplementation) {
     EXPECT_GT(r.health.probes_sent, 0U);
   } else if (scenario == "hier") {
     EXPECT_GT(r.bus.trunk_wire_bytes, 0U);
+  } else if (scenario == "hierflap") {
+    EXPECT_GT(r.bus.trunk_wire_bytes, 0U);
+    EXPECT_GT(r.health.transitions(), 0U);
   }
   simd::set_backend(simd::best_backend());  // don't leak the override
 }

@@ -1,9 +1,10 @@
 // Switched-fabric tests: concurrency, per-port serialization, FIFO order,
-// backpressure, and end-to-end system equivalence with the bus.
+// backpressure, and end-to-end system equivalence with the bus. The switch
+// is the port-based HierFabric with every GPU on one node.
 #include <gtest/gtest.h>
 
 #include "core/system.h"
-#include "fabric/switch_fabric.h"
+#include "fabric/hier_fabric.h"
 #include "workloads/bitonic_sort.h"
 
 namespace mgcomp {
@@ -11,7 +12,7 @@ namespace {
 
 struct SwitchHarness {
   Engine engine;
-  SwitchFabric fabric{engine, SwitchFabric::Params{}};
+  HierFabric fabric{engine, HierFabric::Params{.topo = {.gpus_per_node = kMaxGpus}}};
   std::vector<Message> delivered;
 
   EndpointId add(const std::string& name, bool is_gpu = true) {

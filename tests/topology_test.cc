@@ -288,6 +288,15 @@ TEST(TopologyConfig, EnvironmentResolvesAutoFabric) {
   EXPECT_EQ(rt.nodes(cfg.num_gpus), 4u);
 }
 
+TEST(TopologyConfig, EnvironmentResolvesEpisodeRunsToo) {
+  const ScopedEnv topo("MGCOMP_TOPOLOGY", "hier");
+  SystemConfig cfg;
+  cfg.num_gpus = 8;
+  std::string error;
+  ASSERT_TRUE(parse_fault_episodes("down:0-4@0+1000", &cfg.episodes, &error)) << error;
+  EXPECT_EQ(cfg.resolved_topology().fabric, FabricKind::kHier);
+}
+
 TEST(TopologyConfig, ExplicitPinBeatsEnvironment) {
   const ScopedEnv topo("MGCOMP_TOPOLOGY", "hier");
   SystemConfig cfg;
@@ -330,16 +339,6 @@ TEST(TopologyDeathTest, RejectsZeroTrunkRatio) {
         MultiGpuSystem sys(hier_config(8, 4, HierGraph::kFatTree, /*ratio=*/0));
       },
       "internode_bw_ratio");
-}
-
-TEST(TopologyDeathTest, RejectsEpisodesOnHierFabric) {
-  EXPECT_DEATH(
-      {
-        SystemConfig cfg = hier_config(8, 4);
-        cfg.episodes.push_back(FaultEpisode{});
-        MultiGpuSystem sys(std::move(cfg));
-      },
-      "episode");
 }
 
 TEST(TopologyDeathTest, RejectsForcedHierAlgoWithoutGrouping) {

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Schema and property check for BENCH_CHAOS.json from `bench_chaos`.
 
-Validates the mgcomp-bench-chaos-v1 schema and the properties the chaos
+Validates the mgcomp-bench-chaos-v2 schema and the properties the chaos
 soak exists to prove:
 
-  * every (collective, policy, rate) cell is present exactly once and
-    carries an explicit verdict — the harness terminated everywhere, no
-    watchdog dump truncated the sweep;
+  * every (fabric, collective, policy, rate) cell is present exactly once,
+    on each of the switch, hier-fattree and hier-torus fabrics, and carries
+    an explicit verdict — the harness terminated everywhere, no watchdog
+    dump truncated the sweep;
   * the swept non-zero episode rates span at least three orders of
     magnitude, and the rate-0 control rows are pristine (completed on the
     first attempt, full ring, not partial);
@@ -20,12 +21,14 @@ Usage: check_chaos.py BENCH_CHAOS.json
 import json
 import sys
 
+EXPECTED_FABRICS = {"switch", "hier-fattree", "hier-torus"}
 EXPECTED_COLLECTIVES = {"allreduce", "allgather", "reducescatter", "broadcast"}
 EXPECTED_POLICIES = {"raw", "adaptive"}
 EXPECTED_VERDICTS = {"completed", "degraded", "failed"}
 EXPECTED_ERRORS = {"none", "peer_down", "pull_failed", "shrink_rejected",
                    "retries_exhausted"}
 RESULT_FIELDS = {
+    "fabric": str,
     "collective": str,
     "policy": str,
     "rate": float,
@@ -62,7 +65,7 @@ def main() -> None:
     except (OSError, json.JSONDecodeError) as e:
         fail(f"cannot parse {sys.argv[1]}: {e}")
 
-    if doc.get("schema") != "mgcomp-bench-chaos-v1":
+    if doc.get("schema") != "mgcomp-bench-chaos-v2":
         fail(f"unexpected schema {doc.get('schema')!r}")
     if not isinstance(doc.get("scale"), (int, float)) or doc["scale"] <= 0:
         fail(f"bad scale {doc.get('scale')!r}")
@@ -82,6 +85,8 @@ def main() -> None:
                 ok = False
             if not ok:
                 fail(f"result {i}: bad {field} {v!r}")
+        if row["fabric"] not in EXPECTED_FABRICS:
+            fail(f"result {i}: unknown fabric {row['fabric']!r}")
         if row["collective"] not in EXPECTED_COLLECTIVES:
             fail(f"result {i}: unknown collective {row['collective']!r}")
         if row["policy"] not in EXPECTED_POLICIES:
@@ -92,7 +97,7 @@ def main() -> None:
             fail(f"result {i}: unknown error_kind {row['error_kind']!r}")
         if row["attempts"] < 1:
             fail(f"result {i}: attempts {row['attempts']} < 1")
-        key = (row["collective"], row["policy"], row["rate"])
+        key = (row["fabric"], row["collective"], row["policy"], row["rate"])
         if key in seen:
             fail(f"result {i}: duplicate cell {key}")
         seen[key] = row
@@ -117,15 +122,20 @@ def main() -> None:
             if row["health_transitions"] != 0 or row["hard_failures"] != 0:
                 fail(f"result {i}: rate-0 control saw fault activity")
 
-    # Full grid: every (collective, policy) cell at every swept rate.
-    rates = sorted({k[2] for k in seen})
-    colls = sorted({k[0] for k in seen})
-    pols = sorted({k[1] for k in seen})
-    for c in colls:
-        for p in pols:
-            for r in rates:
-                if (c, p, r) not in seen:
-                    fail(f"missing cell ({c}, {p}, {r})")
+    # Full grid: every fabric, and every (collective, policy) cell at every
+    # swept rate on each of them.
+    fabrics = sorted({k[0] for k in seen})
+    if set(fabrics) != EXPECTED_FABRICS:
+        fail(f"fabrics {fabrics} != {sorted(EXPECTED_FABRICS)}")
+    colls = sorted({k[1] for k in seen})
+    pols = sorted({k[2] for k in seen})
+    rates = sorted({k[3] for k in seen})
+    for f in fabrics:
+        for c in colls:
+            for p in pols:
+                for r in rates:
+                    if (f, c, p, r) not in seen:
+                        fail(f"missing cell ({f}, {c}, {p}, {r})")
 
     nonzero = [r for r in rates if r > 0]
     if 0 not in rates and 0.0 not in rates:
@@ -135,7 +145,7 @@ def main() -> None:
 
     verdicts = {v: sum(1 for r in seen.values() if r["verdict"] == v)
                 for v in EXPECTED_VERDICTS}
-    print(f"check_chaos: OK: {len(results)} rows over rates {rates}; verdicts "
+    print(f"check_chaos: OK: {len(results)} rows over fabrics {fabrics} and rates {rates}; verdicts "
           f"completed={verdicts['completed']} degraded={verdicts['degraded']} "
           f"failed={verdicts['failed']}; all cells terminated")
 
