@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): codec compression/decompression
-// throughput on characteristic line corpora. Not a paper figure —
-// engineering sanity for the library itself.
+// throughput on characteristic line corpora, and the per-message cost of
+// the fabric's link-layer CRC. Not a paper figure — engineering sanity for
+// the library itself.
 //
 // --simd=<scalar|avx2|neon> pins the kernel backend for the whole
 // run (default: best available), so backends can be compared back to back.
@@ -13,6 +14,7 @@
 #include "common/word_io.h"
 #include "compression/codec_set.h"
 #include "compression/simd/dispatch.h"
+#include "fabric/message.h"
 
 namespace {
 
@@ -168,6 +170,47 @@ void BM_RoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * kLineBytes);
 }
 
+// message_crc() as both fabrics stamp it in send() and RdmaEngine
+// re-checks it on delivery: a header-only Read Req, a line Data-Ready and
+// a 4 KB bulk Write Req.
+enum class MsgShape { kHeader, kLine, kBulk4k };
+
+Message crc_message(MsgShape shape) {
+  Rng rng(0xc4c + static_cast<std::uint64_t>(shape));
+  Message m;
+  m.id = 0x2A;
+  m.src = EndpointId{1};
+  m.dst = EndpointId{2};
+  m.addr = 0x10040;
+  switch (shape) {
+    case MsgShape::kHeader:
+      m.type = MsgType::kReadReq;
+      break;
+    case MsgShape::kLine:
+      m.type = MsgType::kDataReady;
+      m.payload_bits = kLineBits;
+      for (auto& b : m.data) b = static_cast<std::uint8_t>(rng.next());
+      break;
+    case MsgShape::kBulk4k:
+      m.type = MsgType::kWriteReq;
+      m.length = kPageBytes;
+      m.payload_bits = kPageBytes * 8;
+      m.block.resize(kPageBytes);
+      for (auto& b : m.block) b = static_cast<std::uint8_t>(rng.next());
+      break;
+  }
+  return m;
+}
+
+void BM_MessageCrc(benchmark::State& state, MsgShape shape) {
+  Message m = crc_message(shape);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(m);
+    benchmark::DoNotOptimize(message_crc(m));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * m.wire_bytes());
+}
+
 void register_all() {
   for (const int codec : {1, 2, 3}) {  // FPC, BDI, C-Pack+Z
     for (int corpus = 0; corpus <= 4; ++corpus) {
@@ -180,6 +223,9 @@ void register_all() {
   for (int corpus = 0; corpus <= 4; ++corpus) {
     benchmark::RegisterBenchmark("BM_ProbeAll", &BM_ProbeAll)->Args({corpus});
   }
+  benchmark::RegisterBenchmark("BM_MessageCrc/header", &BM_MessageCrc, MsgShape::kHeader);
+  benchmark::RegisterBenchmark("BM_MessageCrc/line", &BM_MessageCrc, MsgShape::kLine);
+  benchmark::RegisterBenchmark("BM_MessageCrc/bulk4k", &BM_MessageCrc, MsgShape::kBulk4k);
 }
 
 /// Consumes a leading --simd=<backend> argument (google-benchmark rejects

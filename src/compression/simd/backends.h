@@ -19,4 +19,10 @@ namespace mgcomp::simd {
 /// Null unless built for AArch64 (NEON is baseline there).
 [[nodiscard]] const ProbeKernels* neon_kernels() noexcept;
 
+/// The scalar CRC-32 kernel (slicing-by-8, common/crc32.h). Out of line in
+/// the scalar TU so the NEON table can share it and the AVX2 kernel can
+/// finish a tail with it without compiling Crc32 under -mavx2.
+[[nodiscard]] std::uint32_t crc32_scalar(std::uint32_t reg, const std::uint8_t* data,
+                                         std::size_t n) noexcept;
+
 }  // namespace mgcomp::simd

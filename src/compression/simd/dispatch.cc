@@ -22,8 +22,8 @@ bool cpu_supports(Backend b) noexcept {
     case Backend::kScalar:
       return true;
 #if defined(__x86_64__) || defined(__i386__)
-    case Backend::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
+    case Backend::kAvx2:  // the table's CRC kernel also needs PCLMULQDQ
+      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("pclmul") != 0;
 #endif
 #if defined(__aarch64__)
     case Backend::kNeon:

@@ -1,7 +1,8 @@
 // Runtime SIMD backend selection (ISSUE 4).
 //
-// The per-line codec kernels exist in up to three implementations: scalar
-// (reference, always present), AVX2, and NEON. At first use the
+// The per-line codec kernels, BlockLzss's match extension and the fabric's
+// CRC-32 exist in up to three implementations: scalar (reference, always
+// present), AVX2, and NEON. At first use the
 // dispatcher picks the best backend the build and the CPU both support,
 // unless overridden:
 //

@@ -2,11 +2,12 @@
 // FPC classifies all 16 words with one vector op per pattern class, BDI
 // checks a (k, d) form's delta-fits condition for every element at once,
 // and the C-Pack walk replaces the linear dictionary scan with a single
-// masked compare over all 16 entries.
+// masked compare over all 16 entries. The CRC-32 kernel folds 16-byte
+// blocks with PCLMULQDQ.
 //
-// This TU is compiled with -mavx2 only when the compiler supports it
-// (MGCOMP_SIMD_AVX2 set by CMake); the dispatcher additionally gates on
-// runtime CPUID before selecting the table.
+// This TU is compiled with -mavx2 -mpclmul only when the compiler supports
+// both (MGCOMP_SIMD_AVX2 set by CMake); the dispatcher additionally gates
+// on runtime CPUID (avx2 and pclmulqdq) before selecting the table.
 #include "compression/simd/backends.h"
 
 #if defined(MGCOMP_SIMD_AVX2)
@@ -272,8 +273,96 @@ std::uint32_t match_len_avx2(const std::uint8_t* a, const std::uint8_t* b,
   return i;
 }
 
+// ---------------------------------------------------------------------------
+// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC Computation
+// for Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009).
+//
+// The message is read as 128-bit blocks of a polynomial over GF(2) in the
+// bit-reflected order of the IEEE CRC. A running 128-bit remainder, kept
+// congruent to the message read so far modulo P, is carried N bits forward
+// by multiplying its two 64-bit halves by x^(N+32) mod P and x^(N-32) mod P
+// and adding the block found N bits on. At the end, two more folds take the
+// remainder to 64 bits and a Barrett reduction to the 32-bit register.
+
+// Each fold constant is x^e mod P, bit-reflected and shifted left by one
+// (the reflected product of two 64-bit operands comes out one bit low).
+constexpr std::uint64_t kFold4Lo = 0x154442BD4;  // e = 4*128 + 32
+constexpr std::uint64_t kFold4Hi = 0x1C6E41596;  // e = 4*128 - 32
+constexpr std::uint64_t kFold1Lo = 0x1751997D0;  // e = 128 + 32
+constexpr std::uint64_t kFold1Hi = 0x0CCAA009E;  // e = 128 - 32
+constexpr std::uint64_t kFold64 = 0x163CD6124;   // e = 64
+// Barrett reduction: P itself and floor(x^64 / P), both bit-reflected.
+constexpr std::uint64_t kPoly = 0x1DB710641;
+constexpr std::uint64_t kBarrettMu = 0x1F7011641;
+
+[[nodiscard]] inline __m128i load16(const std::uint8_t* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+[[nodiscard]] inline __m128i pair(std::uint64_t hi, std::uint64_t lo) noexcept {
+  return _mm_set_epi64x(static_cast<long long>(hi), static_cast<long long>(lo));
+}
+
+/// Carries the remainder `x` forward by the distance `k` was made for and
+/// adds the block found there.
+[[nodiscard]] inline __m128i fold(__m128i x, __m128i k, __m128i next) noexcept {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+/// Reduces the final 128-bit remainder to the CRC register.
+[[nodiscard]] inline std::uint32_t reduce(__m128i x) noexcept {
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  // 128 -> 96 bits: carry the low half onto the high half.
+  x = _mm_xor_si128(_mm_srli_si128(x, 8),
+                    _mm_clmulepi64_si128(x, pair(kFold1Hi, kFold1Lo), 0x10));
+  // 96 -> 64 bits: carry the low 32 bits onto the rest.
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, low32),
+                                         pair(0, kFold64), 0x00));
+  // Barrett: q = low32(x) * mu, then x ^= low32(q) * P leaves the
+  // register in bits 32..63.
+  const __m128i barrett = pair(kBarrettMu, kPoly);
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, q), 1));
+}
+
+/// Four independent lanes from 64 bytes up (each carried 512 bits per step,
+/// so their multiplies overlap), then one lane; a tail shorter than a block
+/// goes to the scalar kernel, as does a whole input under 16 bytes.
+std::uint32_t crc32_avx2(std::uint32_t reg, const std::uint8_t* p, std::size_t n) {
+  if (n < 16) return crc32_scalar(reg, p, n);
+  const __m128i k1 = pair(kFold1Hi, kFold1Lo);
+  const std::size_t tail = n % 16;
+  std::size_t blocks = n / 16 - 1;
+  // The register is the remainder of everything before p: it enters as
+  // the first 32 bits of the first block.
+  __m128i x = _mm_xor_si128(load16(p), _mm_cvtsi32_si128(static_cast<int>(reg)));
+  p += 16;
+  if (blocks >= 3) {
+    const __m128i k4 = pair(kFold4Hi, kFold4Lo);
+    __m128i x1 = load16(p);
+    __m128i x2 = load16(p + 16);
+    __m128i x3 = load16(p + 32);
+    p += 48;
+    blocks -= 3;
+    for (; blocks >= 4; blocks -= 4, p += 64) {
+      x = fold(x, k4, load16(p));
+      x1 = fold(x1, k4, load16(p + 16));
+      x2 = fold(x2, k4, load16(p + 32));
+      x3 = fold(x3, k4, load16(p + 48));
+    }
+    x = fold(fold(fold(x, k1, x1), k1, x2), k1, x3);
+  }
+  for (; blocks > 0; --blocks, p += 16) x = fold(x, k1, load16(p));
+  reg = reduce(x);
+  return tail == 0 ? reg : crc32_scalar(reg, p, tail);
+}
+
 constexpr ProbeKernels kAvx2Kernels{"avx2", &fpc_avx2, &bdi_avx2, &cpack_avx2,
-                                    &match_len_avx2};
+                                    &match_len_avx2, &crc32_avx2};
 
 }  // namespace
 

@@ -277,8 +277,9 @@ std::uint32_t match_len_neon(const std::uint8_t* a, const std::uint8_t* b,
   return i;
 }
 
+// The CRC is the scalar slicing-by-8 kernel.
 constexpr ProbeKernels kNeonKernels{"neon", &fpc_neon, &bdi_neon, &cpack_neon,
-                                    &match_len_neon};
+                                    &match_len_neon, &crc32_scalar};
 
 }  // namespace
 

@@ -1,9 +1,11 @@
 // Scalar reference kernels. These are the semantics every SIMD backend
 // must reproduce bit-for-bit: FPC classification delegates to the codec's
-// own classify_word(), BDI form selection to form_valid(), and the C-Pack
-// walk to the template shared with the encode path.
+// own classify_word(), BDI form selection to form_valid(), the C-Pack
+// walk to the template shared with the encode path, and the CRC to
+// Crc32::update().
 #include <algorithm>
 
+#include "common/crc32.h"
 #include "compression/cpack_walk.h"
 #include "compression/simd/backends.h"
 
@@ -72,9 +74,14 @@ std::uint32_t match_len_scalar(const std::uint8_t* a, const std::uint8_t* b,
 }
 
 constexpr ProbeKernels kScalarKernels{"scalar", &fpc_scalar, &bdi_scalar, &cpack_scalar,
-                                      &match_len_scalar};
+                                      &match_len_scalar, &crc32_scalar};
 
 }  // namespace
+
+std::uint32_t crc32_scalar(std::uint32_t reg, const std::uint8_t* data,
+                           std::size_t n) noexcept {
+  return Crc32(reg).update(data, n).reg();
+}
 
 const ProbeKernels* scalar_kernels() noexcept { return &kScalarKernels; }
 

@@ -2,7 +2,8 @@
 //
 // A ProbeKernels table bundles one implementation per codec of the
 // data-parallel core of probe(): FPC word classification, BDI form
-// selection, and the C-Pack+Z counting walk. Backends (scalar / AVX2 /
+// selection, and the C-Pack+Z counting walk. It also carries BlockLzss's
+// match extension and the fabric's CRC-32. Backends (scalar / AVX2 /
 // NEON) provide the tables; the shared *drivers* below turn raw
 // kernel output into the exact size_bits and PatternStats the virtual
 // probe()/compress() contract requires — so a backend only has to get the
@@ -17,6 +18,7 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "compression/bdi.h"
@@ -183,6 +185,11 @@ struct CpackKernelResult {
 /// backends may read up to their vector width *within* max but must never
 /// read byte `max` or beyond. The result is an exact function of the bytes,
 /// so every backend is trivially bit-identical — the fuzzer checks anyway.
+///
+/// crc32 is the link-layer CRC-32 (IEEE, reflected) the fabric stamps on
+/// every message: it feeds `n` bytes into the raw register `reg` (no
+/// pre- or post-inversion) and returns the new register, exactly as
+/// Crc32(reg).update(data, n).reg() does. Reads stay within [data, data+n).
 struct ProbeKernels {
   const char* name;
   FpcWordMasks (*fpc)(const std::uint8_t* line);
@@ -190,6 +197,7 @@ struct ProbeKernels {
   CpackKernelResult (*cpack)(const std::uint8_t* line);
   std::uint32_t (*match_len)(const std::uint8_t* a, const std::uint8_t* b,
                              std::uint32_t max);
+  std::uint32_t (*crc32)(std::uint32_t reg, const std::uint8_t* data, std::size_t n);
 };
 
 }  // namespace mgcomp::simd

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/crc32.h"
 #include "common/types.h"
 #include "compression/block_codec.h"
 #include "compression/codec.h"
@@ -109,32 +108,12 @@ struct Message {
   }
 };
 
-/// Digest of everything the wire carries: the header fields and, for
-/// payload-bearing types, the line data. The model's receiver-convenience
-/// fields (decompress_* hints) are not wire content and are excluded, so a
-/// fault that flips any covered bit is always detectable.
-[[nodiscard]] inline std::uint32_t message_crc(const Message& m) noexcept {
-  Crc32 crc;
-  crc.update_value(static_cast<std::uint8_t>(m.type));
-  crc.update_value(m.id);
-  crc.update_value(m.src.value);
-  crc.update_value(m.dst.value);
-  crc.update_value(m.addr);
-  crc.update_value(m.length);
-  crc.update_value(static_cast<std::uint8_t>(m.comp_alg));
-  crc.update_value(m.payload_bits);
-  if (m.has_payload()) {
-    if (m.is_bulk()) {
-      // Bulk path: hash the block framing id and block bytes. Line
-      // messages never reach this branch, so their CRC inputs stay
-      // byte-identical to the pre-bulk protocol.
-      crc.update_value(static_cast<std::uint8_t>(m.block_alg));
-      crc.update(m.block.data(), m.block.size());
-    } else {
-      crc.update(m.data.data(), m.data.size());
-    }
-  }
-  return crc.value();
-}
+/// Link-layer CRC-32 of everything the wire carries: the header fields
+/// and, for payload-bearing types, the line data or (bulk) the block
+/// framing id and block bytes. The model's receiver-convenience fields
+/// (decompress_* hints) are not wire content and are excluded, so a fault
+/// that flips any covered bit is always detectable. Runs the dispatched
+/// SIMD `crc32` kernel (message.cc); every backend gives the same digest.
+[[nodiscard]] std::uint32_t message_crc(const Message& m) noexcept;
 
 }  // namespace mgcomp

@@ -11,6 +11,7 @@
 #include "collective/rank_space.h"
 #include "common/crc32.h"
 #include "common/types.h"
+#include "compression/simd/dispatch.h"
 #include "core/system.h"
 #include "fault/episodes.h"
 #include "fault/fault_injector.h"
@@ -51,16 +52,53 @@ Message payload_message() {
   return m;
 }
 
+Message header_only_message() {
+  Message m;
+  m.type = MsgType::kReadReq;
+  m.id = 0x0BEE;
+  m.src = EndpointId{3};
+  m.dst = EndpointId{0};
+  m.addr = 0x1000;
+  m.crc = message_crc(m);
+  return m;
+}
+
+Message bulk_message() {
+  Message m;
+  m.type = MsgType::kWriteReq;
+  m.id = 0x0FAB;
+  m.src = EndpointId{2};
+  m.dst = EndpointId{1};
+  m.addr = 0x8000;
+  m.length = kPageBytes;
+  m.payload_bits = kPageBytes * 8;
+  m.block_alg = BlockCodecId::kLzss;
+  m.block.resize(kPageBytes);
+  for (std::size_t i = 0; i < kPageBytes; ++i) m.block[i] = static_cast<std::uint8_t>(i * 13);
+  m.crc = message_crc(m);
+  return m;
+}
+
 TEST(MessageCrc, DetectsEveryInjectedBitPosition) {
-  // Sweep flips across the whole wire image (header and payload): each one
-  // must break the stamped digest.
-  const Message clean = payload_message();
-  const std::uint32_t wire_bits = clean.wire_bytes() * 8;
-  for (std::uint32_t bit = 0; bit < wire_bits; bit += 7) {
-    Message m = clean;
-    FaultInjector::corrupt(m, bit);
-    EXPECT_NE(m.crc, message_crc(m)) << "flip at wire bit " << bit << " went undetected";
+  // Sweep flips across the whole wire image (header and payload) of a line
+  // message, a header-only request and a 4 KB bulk write: each one must
+  // break the stamped digest, whichever SIMD backend computes it.
+  const simd::Backend prev = simd::active_backend();
+  for (const simd::Backend b : simd::available_backends()) {
+    ASSERT_TRUE(simd::set_backend(b));
+    for (const Message& clean : {payload_message(), header_only_message(), bulk_message()}) {
+      ASSERT_EQ(clean.crc, message_crc(clean));
+      const std::uint32_t wire_bits = clean.wire_bytes() * 8;
+      for (std::uint32_t bit = 0; bit < wire_bits; bit += 7) {
+        Message m = clean;
+        FaultInjector::corrupt(m, bit);
+        EXPECT_NE(m.crc, message_crc(m))
+            << simd::backend_name(b) << ": flip at wire bit " << bit << " of a "
+            << msg_type_name(clean.type) << " went undetected";
+      }
+    }
   }
+  ASSERT_TRUE(simd::set_backend(prev));
 }
 
 TEST(MessageCrc, HeaderFlipLandsInMsgId) {
