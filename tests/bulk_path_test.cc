@@ -139,7 +139,7 @@ TEST(BulkRdma, PayloadPoolRecyclesBulkBuffers) {
 // Collective-level identity: block pulls must never change the math.
 
 CollectiveOutcome run_bulk(std::uint32_t ranks, std::uint32_t lines_per_block,
-                           double ber = 0.0) {
+                           double ber = 0.0, std::size_t lines_per_rank = 256) {
   SystemConfig cfg;
   // Pinned: the golden fingerprint below encodes bus-fabric timing, which
   // a CI topology sweep (MGCOMP_TOPOLOGY=...) must not re-route.
@@ -149,7 +149,7 @@ CollectiveOutcome run_bulk(std::uint32_t ranks, std::uint32_t lines_per_block,
   cfg.fault.bit_error_rate = ber;
   MultiGpuSystem sys(std::move(cfg));
   CollectiveConfig ccfg;
-  ccfg.lines_per_rank = 256;
+  ccfg.lines_per_rank = lines_per_rank;
   ccfg.lines_per_block = lines_per_block;
   return run_collective(sys, ccfg);
 }
@@ -188,6 +188,19 @@ TEST(BulkCollective, FasterThanPerLineOnCompressibleFill) {
   const CollectiveOutcome bulk = run_bulk(8, 64);
   ASSERT_TRUE(per_line.verified && bulk.verified);
   EXPECT_LT(bulk.run.collective.duration, per_line.run.collective.duration);
+}
+
+// The bulk path's headline: once each rank's chunk spans whole pages (512
+// lines over 8 ranks = one 64-line page block per chunk), page blocks carry
+// at least 3x the per-line algorithm bandwidth on the compressible fill.
+TEST(BulkCollective, PageBlocksTripleAlgBandwidth) {
+  const CollectiveOutcome per_line = run_bulk(8, 1, 0.0, 512);
+  const CollectiveOutcome bulk = run_bulk(8, 64, 0.0, 512);
+  ASSERT_TRUE(per_line.verified && bulk.verified);
+  const double per_line_alg = per_line.run.collective.alg_bytes_per_cycle();
+  const double bulk_alg = bulk.run.collective.alg_bytes_per_cycle();
+  EXPECT_GE(bulk_alg, 3.0 * per_line_alg)
+      << "bulk " << bulk_alg << " B/cycle vs per-line " << per_line_alg << " B/cycle";
 }
 
 // ---------------------------------------------------------------------------
