@@ -5,12 +5,20 @@
 // the cache/DRAM/fabric models only decide how long accesses take. Keeping
 // real bytes is essential — compression ratios are measured on the actual
 // payloads moved between GPUs.
+//
+// read/write move a span of any trivially copyable element type (bytes by
+// default) with one page-map lookup per page the span touches, so workload
+// generators move a whole workgroup window per call and compute on local
+// arrays; load/store are the one-element case.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -32,31 +40,42 @@ class GlobalMemory {
     return base;
   }
 
-  /// Reads `out.size()` bytes at `addr` (zero-fill for untouched pages).
-  void read(Addr addr, std::span<std::uint8_t> out) const {
+  /// Reads `out.size()` consecutive T at `addr`. Untouched pages read as
+  /// zero and stay unmaterialized. T is named explicitly for non-byte
+  /// spans: `mem.read<float>(addr, row)`.
+  template <typename T = std::uint8_t>
+  void read(Addr addr, std::span<std::type_identity_t<T>> out) const {
+    static_assert(std::is_trivially_copyable_v<T>);
+    auto* dst = reinterpret_cast<std::uint8_t*>(out.data());
+    const std::size_t bytes = out.size_bytes();
     std::size_t done = 0;
-    while (done < out.size()) {
+    while (done < bytes) {
       const Addr a = addr + done;
       const std::size_t off = static_cast<std::size_t>(a % kPageBytes);
-      const std::size_t n = std::min(out.size() - done, kPageBytes - off);
+      const std::size_t n = std::min(bytes - done, kPageBytes - off);
       const auto it = pages_.find(page_index(a));
       if (it == pages_.end()) {
-        std::memset(out.data() + done, 0, n);
+        std::memset(dst + done, 0, n);
       } else {
-        std::memcpy(out.data() + done, it->second->data() + off, n);
+        std::memcpy(dst + done, it->second->data() + off, n);
       }
       done += n;
     }
   }
 
-  /// Writes `in.size()` bytes at `addr`, materializing pages as needed.
-  void write(Addr addr, std::span<const std::uint8_t> in) {
+  /// Writes `in.size()` consecutive T at `addr`, materializing exactly the
+  /// pages the span touches.
+  template <typename T = std::uint8_t>
+  void write(Addr addr, std::span<const std::type_identity_t<T>> in) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const auto* src = reinterpret_cast<const std::uint8_t*>(in.data());
+    const std::size_t bytes = in.size_bytes();
     std::size_t done = 0;
-    while (done < in.size()) {
+    while (done < bytes) {
       const Addr a = addr + done;
       const std::size_t off = static_cast<std::size_t>(a % kPageBytes);
-      const std::size_t n = std::min(in.size() - done, kPageBytes - off);
-      std::memcpy(page(page_index(a)).data() + off, in.data() + done, n);
+      const std::size_t n = std::min(bytes - done, kPageBytes - off);
+      std::memcpy(page(page_index(a)).data() + off, src + done, n);
       done += n;
     }
   }
@@ -71,18 +90,18 @@ class GlobalMemory {
   /// Writes a full line at the line containing `addr`.
   void write_line(Addr addr, LineView data) { write(line_base(addr), data); }
 
-  // Typed helpers for workload generators.
+  /// One-element read and write, for scattered accesses (spot checks,
+  /// strided scans); contiguous ranges go through read/write.
   template <typename T>
   [[nodiscard]] T load(Addr addr) const {
     T v{};
-    read(addr, std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(&v), sizeof(T)));
+    read<T>(addr, {&v, 1});
     return v;
   }
 
   template <typename T>
   void store(Addr addr, const T& v) {
-    write(addr, std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(&v),
-                                              sizeof(T)));
+    write<T>(addr, {&v, 1});
   }
 
   /// Number of materialized pages (untouched pages read as zero).

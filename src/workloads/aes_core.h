@@ -2,10 +2,12 @@
 // workload so that the bytes moved between GPUs are genuine ciphertext-
 // derived values (i.e., genuinely incompressible), not a stand-in.
 //
-// Straightforward table-free implementation: S-box substitution, row
-// shifts, GF(2^8) column mixing, 14 rounds with an expanded 240-byte key
-// schedule. Performance is irrelevant here — it runs at trace-generation
-// time, not on the simulated critical path.
+// 32-bit T-table implementation: each of rounds 1-13 is four lookups per
+// column into one 256-entry table (computed at compile time from the
+// S-box; rotations give the other three row positions), and the final
+// round is S-box only; 14 rounds with an expanded 240-byte key schedule.
+// It runs for every block of every AES trace the benchmark generates, so
+// its speed shows up in host time.
 #pragma once
 
 #include <array>

@@ -43,8 +43,6 @@ class FirWorkload final : public Workload {
   [[nodiscard]] bool verify(const GlobalMemory& mem) const override;
 
  private:
-  [[nodiscard]] std::int64_t expected_output(const GlobalMemory& mem, std::uint32_t i) const;
-
   Params p_;
   Addr input_{0};
   Addr coeffs_{0};

@@ -48,13 +48,12 @@ class GradientDescentWorkload final : public Workload {
   [[nodiscard]] Addr sample_addr(std::uint32_t i) const noexcept {
     return features_ + static_cast<Addr>(i) * p_.d * 4;
   }
-  // Dot product over pre-loaded values; callers batch the GlobalMemory
-  // loads (weights once per kernel, each sample once) so the O(n*d) loops
-  // skip the page map. Accumulation order and values are unchanged, so
-  // every gradient, weight, and loss is bit-identical.
+  // Dot product over local copies: the kernels read the weight vector once
+  // and each sample's feature row with one GlobalMemory::read, and write
+  // each partial vector with one write, so the O(n*d) loops never touch
+  // the page map.
   [[nodiscard]] double predict(std::span<const float> weights,
                                std::span<const float> sample) const;
-  void load_floats(const GlobalMemory& mem, Addr base, std::span<float> out) const;
 
   KernelTrace generate_gradient(std::size_t iter, GlobalMemory& mem);
   KernelTrace generate_update(std::size_t iter, GlobalMemory& mem);

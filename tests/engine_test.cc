@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "fabric/bus.h"
 #include "memory/address_map.h"
@@ -383,6 +386,65 @@ TEST(GlobalMemory, CrossPageAccess) {
   const Addr boundary = a + kPageBytes - 4;
   mem.store<std::uint64_t>(boundary, 0x1122334455667788ULL);
   EXPECT_EQ(mem.load<std::uint64_t>(boundary), 0x1122334455667788ULL);
+}
+
+TEST(GlobalMemory, TypedSpansCrossPages) {
+  GlobalMemory mem;
+  const Addr a = mem.alloc(4 * kPageBytes);
+  // 3000 int32 from 100 bytes before the first page boundary: the span
+  // covers the tail of one page, two whole pages and the head of a fourth.
+  const Addr start = a + kPageBytes - 100;
+  std::vector<std::int32_t> in(3000);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<std::int32_t>(i * 2654435761u);
+  }
+  mem.write<std::int32_t>(start, in);
+  std::vector<std::int32_t> out(in.size());
+  mem.read<std::int32_t>(start, out);
+  EXPECT_EQ(out, in);
+  // The typed and byte forms see the same bytes.
+  std::vector<std::uint8_t> bytes(in.size() * 4);
+  mem.read(start, bytes);
+  EXPECT_EQ(std::memcmp(bytes.data(), in.data(), bytes.size()), 0);
+  EXPECT_EQ(mem.load<std::int32_t>(start + 4 * 1234), in[1234]);
+}
+
+TEST(GlobalMemory, ZeroLengthSpansTouchNothing) {
+  GlobalMemory mem;
+  const Addr a = mem.alloc(kPageBytes);
+  mem.write<double>(a, std::span<const double>{});
+  mem.write(a + 17, std::span<const std::uint8_t>{});
+  mem.read<double>(a, std::span<double>{});
+  EXPECT_EQ(mem.resident_pages(), 0u);
+}
+
+TEST(GlobalMemory, UnmaterializedPagesReadZeroAndStayUnmaterialized) {
+  GlobalMemory mem;
+  const Addr a = mem.alloc(3 * kPageBytes);
+  mem.store<std::uint32_t>(a + kPageBytes, 7u);  // only the middle page
+  std::vector<std::uint64_t> out(3 * kPageBytes / 8, ~0ULL);
+  mem.read<std::uint64_t>(a, out);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], i == kPageBytes / 8 ? 7u : 0u) << "word " << i;
+  }
+  EXPECT_EQ(mem.resident_pages(), 1u);
+}
+
+TEST(GlobalMemory, StoreMaterializesExactlyTouchedPages) {
+  GlobalMemory mem;
+  const Addr a = mem.alloc(8 * kPageBytes);
+  // Ends exactly at a page boundary: one page.
+  mem.write<std::uint32_t>(a + kPageBytes - 16, std::vector<std::uint32_t>(4, 1u));
+  EXPECT_EQ(mem.resident_pages(), 1u);
+  // Eight bytes straddling the boundary of pages 2 and 3: two more.
+  mem.store<std::uint64_t>(a + 3 * kPageBytes - 4, 0x1122334455667788ULL);
+  EXPECT_EQ(mem.resident_pages(), 3u);
+  // A page and a half from inside page 5: pages 5 and 6, not 7.
+  mem.write<std::uint16_t>(a + 5 * kPageBytes + 2048,
+                           std::vector<std::uint16_t>(3 * kPageBytes / 4, 0));
+  EXPECT_EQ(mem.resident_pages(), 5u);
+  EXPECT_EQ(mem.load<std::uint64_t>(a + 3 * kPageBytes - 4), 0x1122334455667788ULL);
+  EXPECT_EQ(mem.resident_pages(), 5u);
 }
 
 TEST(GlobalMemory, LineHelpers) {
