@@ -4,8 +4,9 @@
 // Functional data always lives in GlobalMemory, so tag-only caches keep the
 // simulator fast while producing the traffic filtering that matters — a
 // line fetched remotely once and re-read from L1 does not hit the fabric
-// again. Writes are modeled write-through/no-allocate-on-write-miss... see
-// `access` flags.
+// again. Both reads and writes allocate on a miss (write-allocate); the
+// GPU writes through to the owner, so a cache never holds dirty data (see
+// `access` and Gpu::access).
 #pragma once
 
 #include <cstdint>
