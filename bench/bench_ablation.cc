@@ -10,13 +10,11 @@
 //   F. GPU-count scaling
 //   G. bit-plane pre-coding layer (related work, Kim et al.)
 //   H. fabric topology (bus vs crossbar switch)
-//   I. congestion-aware dynamic lambda
-//   J. entropy-coding headroom (E2MC-style Huffman)
 //   K. unreliable-link BER sweep (reliability extension: CRC + retransmission
 //      + degrade-to-raw)
+// (I and J are retired letters: K keeps its letter so references to §K hold.)
 #include "bench_common.h"
 #include "compression/bitplane.h"
-#include "compression/huffman.h"
 #include "memory/global_memory.h"
 
 namespace {
@@ -219,73 +217,6 @@ void fabric_topology(double scale) {
               " compression win: per-port serialization still charges for bytes)\n\n");
 }
 
-void dynamic_lambda(double scale) {
-  std::printf("I. congestion-aware dynamic lambda (extension; paper uses static lambda)\n");
-  std::printf("%-6s %14s %14s %14s\n", "Bench", "fixed l=6", "fixed l=0", "dynamic");
-  for (const char* w : {"BS", "SC", "AES", "KM"}) {
-    const RunResult base = bench::run(w, scale, make_no_compression_policy());
-    auto t = [&](const RunResult& r) {
-      return static_cast<double>(r.exec_ticks) / static_cast<double>(base.exec_ticks);
-    };
-    const RunResult fixed6 =
-        bench::run(w, scale, make_adaptive_policy(AdaptiveParams{.lambda = 6.0}));
-    const RunResult fixed0 =
-        bench::run(w, scale, make_adaptive_policy(AdaptiveParams{.lambda = 0.0}));
-    const RunResult dyn = bench::run(
-        w, scale,
-        make_adaptive_policy(AdaptiveParams{.lambda = 6.0, .dynamic_lambda = true}));
-    std::printf("%-6s %14.3f %14.3f %14.3f\n", w, t(fixed6), t(fixed0), t(dyn));
-  }
-  std::printf("(dynamic lambda should track fixed l=6 on saturated fabrics without\n"
-              " hand-tuning, trading a little traffic where the fabric has slack)\n\n");
-}
-
-void huffman_headroom(double scale) {
-  std::printf("J. entropy-coding headroom: E2MC-style static Huffman vs pattern codecs\n");
-  std::printf("   (whole-buffer ratios; Huffman trained per workload, as E2MC trains\n");
-  std::printf("    per application. Offline comparison — the paper rejects entropy\n");
-  std::printf("    coding on the link for its serial-decode latency.)\n");
-  std::printf("%-6s %12s %12s %12s\n", "Bench", "best-of-3", "Huffman", "headroom");
-  CodecSet set;
-  for (const auto abbrev : workload_abbrevs()) {
-    GlobalMemory mem;
-    auto wl = make_workload(abbrev, scale * 0.5);
-    wl->setup(mem);
-    for (std::size_t k = 0; k < wl->kernel_count(); ++k) (void)wl->generate_kernel(k, mem);
-
-    // Train the static table on the workload's own buffers (the E2MC
-    // offline-profiling assumption).
-    std::array<std::uint64_t, 256> counts{};
-    for (const auto& region : mem.regions()) {
-      for (std::size_t off = 0; off < region.bytes; off += kLineBytes) {
-        const Line l = mem.read_line(region.base + off);
-        for (const std::uint8_t b : l) ++counts[b];
-      }
-    }
-    const HuffmanLineCodec huffman(HuffmanTable::from_counts(counts));
-
-    std::uint64_t best3_bits = 0, huff_bits = 0, lines = 0;
-    for (const auto& region : mem.regions()) {
-      for (std::size_t off = 0; off < region.bytes; off += kLineBytes) {
-        const Line l = mem.read_line(region.base + off);
-        std::uint32_t best = kLineBits;
-        for (const Codec* c : set.real_codecs()) {
-          best = std::min(best, c->compress(l).size_bits);
-        }
-        best3_bits += best;
-        huff_bits += huffman.compress(l).size_bits;
-        ++lines;
-      }
-    }
-    const double raw = static_cast<double>(lines) * kLineBits;
-    const double r3 = raw / static_cast<double>(best3_bits);
-    const double rh = raw / static_cast<double>(huff_bits);
-    std::printf("%-6s %12.2f %12.2f %11.2fx\n", std::string(abbrev).c_str(), r3, rh,
-                rh / r3);
-  }
-  std::printf("\n");
-}
-
 void ber_sweep(double scale) {
   std::printf("K. link bit-error-rate sweep (MT, reliability extension)\n");
   std::printf("   (CRC-protected messages, NACK/timeout retransmission; the adaptive\n");
@@ -327,8 +258,6 @@ int main(int argc, char** argv) {
   gpu_scaling(scale);
   bitplane_layer(scale);
   fabric_topology(scale);
-  dynamic_lambda(scale);
-  huffman_headroom(scale);
   ber_sweep(scale);
   return 0;
 }

@@ -5,15 +5,15 @@
 //   simulate [options]
 //     --workload  AES|BS|FIR|GD|KM|MT|SC     (default MT)
 //     --policy    none|fpc|bdi|cpack|adaptive (default adaptive)
-//     --lambda    <float>                     (default 6)
-//     --scale     <float>                     (default 1.0)
+//     --lambda    <float >= 0>                (default 6)
+//     --scale     <float > 0>                 (default 1.0)
 //     --gpus      <int>                       (default 4)
 //     --bus       <bytes/cycle>               (default 20)
 //     --samples   <sampling transfers>        (default 7)
 //     --running   <running transfers>         (default 300)
 //     --tier      chip|die|package|node       (default die)
-//     --ber       <bit error rate>            (default 0; enables reliability layer)
-//     --drop      <message drop rate>         (default 0)
+//     --ber       <bit error rate, 0..1>      (default 0; enables reliability layer)
+//     --drop      <message drop rate, 0..1>   (default 0)
 //     --topology  bus|switch|hier|hier-fattree|hier-torus
 //                                              (pins the fabric; default bus
 //                                               unless MGCOMP_TOPOLOGY is set)
@@ -44,8 +44,10 @@
 //                                              1..64; default 64 = full page)
 //     --allow-shrink                          (complete on survivors after a GPU fail-stop)
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "analysis/report.h"
@@ -92,6 +94,25 @@ struct Options {
   std::uint32_t coll_trunk_lpb{0};  ///< trunk-phase block size (0 = full page)
 };
 
+constexpr double kFiniteMax = std::numeric_limits<double>::max();
+constexpr double kPositiveMin = std::numeric_limits<double>::min();
+
+/// Parses all of `v` as a number in [lo, hi] into `out`. Anything else (an
+/// empty value, trailing junk, NaN, infinity, out of range) names the flag
+/// on stderr and returns false.
+bool parse_number(const std::string& flag, const char* v, double lo, double hi,
+                  double* out) {
+  const char* end = v + std::strlen(v);
+  double x = 0.0;
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || !(x >= lo && x <= hi)) {
+    std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), v);
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
 bool parse(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -106,12 +127,12 @@ bool parse(int argc, char** argv, Options& o) {
       o.policy = v;
     } else if (arg == "--lambda") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.lambda = std::atof(v);
+      if (v == nullptr || !parse_number(arg, v, 0.0, kFiniteMax, &o.lambda)) return false;
     } else if (arg == "--scale") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.scale = std::atof(v);
+      if (v == nullptr || !parse_number(arg, v, kPositiveMin, kFiniteMax, &o.scale)) {
+        return false;
+      }
     } else if (arg == "--gpus") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -134,12 +155,10 @@ bool parse(int argc, char** argv, Options& o) {
       o.tier = v;
     } else if (arg == "--ber") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.ber = std::atof(v);
+      if (v == nullptr || !parse_number(arg, v, 0.0, 1.0, &o.ber)) return false;
     } else if (arg == "--drop") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.drop = std::atof(v);
+      if (v == nullptr || !parse_number(arg, v, 0.0, 1.0, &o.drop)) return false;
     } else if (arg == "--topology") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -295,10 +314,18 @@ int main(int argc, char** argv) {
   }
   if (!o.dump_trace.empty()) cfg.trace_samples = 5000;
   if (!o.trace_out.empty()) cfg.trace_events = o.trace_limit;
-  cfg.energy_tier = o.tier == "chip"      ? FabricTier::kOnChip
-                    : o.tier == "package" ? FabricTier::kInterPackage
-                    : o.tier == "node"    ? FabricTier::kInterNode
-                                          : FabricTier::kInterDie;
+  if (o.tier == "chip") {
+    cfg.energy_tier = FabricTier::kOnChip;
+  } else if (o.tier == "die") {
+    cfg.energy_tier = FabricTier::kInterDie;
+  } else if (o.tier == "package") {
+    cfg.energy_tier = FabricTier::kInterPackage;
+  } else if (o.tier == "node") {
+    cfg.energy_tier = FabricTier::kInterNode;
+  } else {
+    std::fprintf(stderr, "unknown tier: %s\n", o.tier.c_str());
+    return 2;
+  }
   if (o.policy == "none") {
     cfg.policy = make_no_compression_policy();
   } else if (o.policy == "fpc") {

@@ -1,7 +1,6 @@
 #include "adaptive/policy.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "adaptive/penalty.h"
@@ -102,6 +101,7 @@ class AdaptivePolicy final : public CompressionPolicy {
   AdaptivePolicy(const CodecSet& codecs, AdaptiveParams params)
       : codecs_(&codecs), params_(params), penalty_(params.lambda) {
     MGCOMP_CHECK(params_.sample_transfers > 0);
+    MGCOMP_CHECK_MSG(params_.lambda >= 0.0, "AdaptiveParams: lambda must be a number >= 0");
     if (params_.candidates.empty()) {
       real_ = codecs.real_codecs();
       full_candidate_set_ = true;  // sampling can use the fused probe
@@ -178,11 +178,7 @@ class AdaptivePolicy final : public CompressionPolicy {
     ++window_errors_;
   }
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return params_.dynamic_lambda ? "Adaptive(dyn-l)" : "Adaptive";
-  }
-
-  void set_pressure_probe(PressureProbe probe) override { probe_ = std::move(probe); }
+  [[nodiscard]] std::string_view name() const noexcept override { return "Adaptive"; }
 
   void set_payload_pool(PayloadPool* pool) override {
     pool_ = pool;
@@ -229,8 +225,6 @@ class AdaptivePolicy final : public CompressionPolicy {
     switch (params_.criterion) {
       case SelectionCriterion::kPenalty:
         return penalty_(size_bits, id);
-      case SelectionCriterion::kSize:
-        return static_cast<double>(size_bits);
       case SelectionCriterion::kEnergy:
         return static_cast<double>(size_bits) * fabric_pj_per_bit(params_.energy_tier) +
                cost.total_energy_pj();
@@ -309,23 +303,6 @@ class AdaptivePolicy final : public CompressionPolicy {
   }
 
   void take_vote() {
-    // Congestion-aware lambda (extension): linearly interpolate between
-    // lambda_min (fabric saturated, bandwidth-critical) and lambda_max
-    // (fabric idle, latency-critical) from utilization since the last
-    // vote.
-    if (params_.dynamic_lambda && probe_) {
-      const FabricPressure p = probe_();
-      const Tick dt = p.now - last_pressure_.now;
-      if (dt > 0) {
-        const double u = static_cast<double>(p.busy_cycles - last_pressure_.busy_cycles) /
-                         static_cast<double>(dt);
-        const double x = std::clamp((u - 0.3) / 0.6, 0.0, 1.0);  // 0.3..0.9 band
-        penalty_ = PenaltyFunction(params_.lambda_max -
-                                   (params_.lambda_max - params_.lambda_min) * x);
-      }
-      last_pressure_ = p;
-    }
-
     // Winner = most per-sample wins; ties break toward the lower
     // accumulated penalty, then the lower codec id.
     std::size_t winner = 0;
@@ -403,15 +380,13 @@ class AdaptivePolicy final : public CompressionPolicy {
 
   const CodecSet* codecs_;
   AdaptiveParams params_;
-  PenaltyFunction penalty_;
+  const PenaltyFunction penalty_;
   std::vector<const Codec*> real_;
   bool full_candidate_set_{false};
   Tick sample_latency_{0};
   Tick sample_occupancy_{0};
   double sample_energy_pj_{0.0};
 
-  PressureProbe probe_;
-  FabricPressure last_pressure_{};
   PayloadPool* pool_{nullptr};
   Compressed scratch_;
 

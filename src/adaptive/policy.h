@@ -106,14 +106,16 @@ enum class LinkEvent : std::uint8_t {
   kHardFailure,   ///< a request exhausted its retry budget
 };
 
-/// Snapshot of fabric load, used by congestion-aware policies.
+/// Snapshot of fabric load. No policy reads it: this type, PressureProbe
+/// and CompressionPolicy::set_pressure_probe exist only because
+/// benchmark/layers.h still overrides that virtual. They go with the next
+/// change to the benchmark, like SystemConfig::shards.
 struct FabricPressure {
   Tick busy_cycles{0};  ///< cumulative fabric-busy cycles
   Tick now{0};          ///< current simulation time
 };
 
-/// Supplies the current FabricPressure; installed by the system on
-/// policies that ask for it.
+/// Supplies a FabricPressure; nothing installs one (see FabricPressure).
 using PressureProbe = std::function<FabricPressure()>;
 
 /// Abstract per-link compression policy.
@@ -142,8 +144,8 @@ class CompressionPolicy {
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Installs a fabric-load probe. Default: ignored (static policies and
-  /// the paper's fixed-lambda scheme don't look at the fabric).
+  /// No-op kept only for benchmark/layers.h's override; the system never
+  /// calls it (see FabricPressure).
   virtual void set_pressure_probe(PressureProbe probe) { (void)probe; }
 
   /// Installs the owning endpoint's payload-buffer pool. Policies that
@@ -189,10 +191,9 @@ using PolicyFactory = std::function<std::unique_ptr<CompressionPolicy>(const Cod
 /// selected based on a predefined criteria (i.e., energy consumption,
 /// compressed data size, energy-delay product, etc.)").
 enum class SelectionCriterion : std::uint8_t {
-  /// Eq. (1): P = N + lambda * (Lc + Ld). The paper's evaluated scheme.
+  /// Eq. (1): P = N + lambda * (Lc + Ld). The paper's evaluated scheme;
+  /// lambda = 0 is the pure compressed-size criterion.
   kPenalty,
-  /// Pure compressed size (equivalent to kPenalty with lambda = 0).
-  kSize,
   /// Transfer energy: fabric pJ/b for the encoded bits plus codec energy.
   kEnergy,
   /// Energy-delay product: transfer energy x (codec latency + wire time).
@@ -202,6 +203,8 @@ enum class SelectionCriterion : std::uint8_t {
 /// Parameters of the adaptive scheme (Section V defaults).
 struct AdaptiveParams {
   SelectionCriterion criterion{SelectionCriterion::kPenalty};
+  /// Eq. (1)'s latency weight, fixed per system as in the paper; must be
+  /// a number >= 0.
   double lambda{6.0};
   /// Transfers profiled per sampling phase (paper: 7).
   std::uint32_t sample_transfers{7};
@@ -211,16 +214,6 @@ struct AdaptiveParams {
   /// single entry the scheme degenerates to the paper's on/off gating of
   /// one compression circuit (Section V, last paragraph).
   std::vector<CodecId> candidates{};
-
-  /// Extension beyond the paper (it fixes lambda statically and notes the
-  /// "additional complexity of dynamic selection"): re-derive lambda at
-  /// every vote from measured fabric utilization. A saturated fabric is
-  /// bandwidth-critical (lambda -> lambda_min favors small encodings); an
-  /// idle fabric is latency-critical (lambda -> lambda_max favors fast
-  /// codecs). Requires the system to install a PressureProbe.
-  bool dynamic_lambda{false};
-  double lambda_min{0.0};
-  double lambda_max{32.0};
 
   /// Fabric energy tier used by the kEnergy / kEnergyDelayProduct
   /// criteria (must match the system's tier for coherent decisions).

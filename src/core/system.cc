@@ -69,12 +69,9 @@ MultiGpuSystem::MultiGpuSystem(SystemConfig config) : config_(std::move(config))
     gpu_endpoints_.push_back(ep);
   }
   for (std::uint32_t g = 0; g < config_.num_gpus; ++g) {
-    auto policy = config_.policy(*codecs_);
-    policy->set_pressure_probe(
-        [this] { return FabricPressure{bus_->stats().busy_cycles, engine_->now()}; });
     gpus_[g]->configure(
         gpu_endpoints_[g], [this](GpuId id) { return gpu_endpoints_.at(id.value); },
-        std::move(policy), config_.retry, config_.reliability_enabled());
+        config_.policy(*codecs_), config_.retry, config_.reliability_enabled());
     if (tracer_ != nullptr) {
       gpus_[g]->rdma().set_tracer(tracer_.get(), endpoint_track(gpu_endpoints_[g].value));
     }

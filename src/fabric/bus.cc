@@ -54,22 +54,13 @@ void BusFabric::kick() {
 
   // Round-robin scan: first endpoint (starting after the last granted one)
   // whose head-of-queue message fits in its destination's input buffer.
-  // With response_priority, a first pass considers only endpoints whose
-  // head is a response (Data-Ready / Write-ACK); requests only get the
-  // bus when no response is ready (virtual-channel-style arbitration).
   const std::size_t n = endpoints_.size();
-  const int passes = params_.response_priority ? 2 : 1;
-  for (int pass = 0; pass < passes; ++pass) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t idx = (rr_next_ + i) % n;
     Endpoint& src = endpoints_[idx];
     if (health_ != nullptr) purge_undeliverable(idx);
     if (src.out.empty()) continue;
     const Message& head = src.out.front();
-    if (params_.response_priority && pass == 0 &&
-        (head.type == MsgType::kReadReq || head.type == MsgType::kWriteReq)) {
-      continue;
-    }
     // Stall-with-deadline: a head targeting a believed-DOWN link keeps its
     // slot until the link recovers (on_health_change re-kicks) or the
     // requester's retry budget / the watchdog gives up on it.
@@ -98,7 +89,6 @@ void BusFabric::kick() {
     stats_.record_busy(engine_->now(), cycles);
     engine_->schedule_in(std::max<Tick>(cycles, 1), [this] { complete(); });
     return;
-  }
   }
 }
 

@@ -170,11 +170,6 @@ class BusFabric final : public Fabric {
   struct Params {
     std::uint32_t bytes_per_cycle{20};
     std::size_t input_buffer_bytes{4096};
-    /// Virtual-channel-style arbitration: grant response messages
-    /// (Data-Ready / Write-ACK) ahead of requests. Classic
-    /// protocol-deadlock avoidance; off by default to match the paper's
-    /// plain round-robin bus.
-    bool response_priority{false};
   };
 
   BusFabric(Engine& engine, Params params) : engine_(&engine), params_(params) {
@@ -197,7 +192,6 @@ class BusFabric final : public Fabric {
   [[nodiscard]] const BusStats& stats() const noexcept override { return stats_; }
   [[nodiscard]] bool idle() const noexcept { return !busy_; }
 
-  [[nodiscard]] std::size_t num_endpoints() const noexcept { return endpoints_.size(); }
   [[nodiscard]] const std::string& endpoint_name(EndpointId ep) const override {
     return endpoints_.at(ep.value).name;
   }

@@ -115,16 +115,6 @@ TEST(SystemEdge, TinyInputBuffersStillDrain) {
   EXPECT_GT(r.remote_reads(), 0u);
 }
 
-TEST(SystemEdge, ResponsePriorityBusRunsWholeWorkload) {
-  MatrixTransposeWorkload wl(MatrixTransposeWorkload::Params{.n = 128});
-  SystemConfig cfg;
-  cfg.bus.response_priority = true;
-  cfg.policy = make_adaptive_policy(AdaptiveParams{.lambda = 6.0});
-  const RunResult r = run_workload(std::move(cfg), wl);
-  EXPECT_GT(r.remote_reads(), 0u);
-  EXPECT_LT(r.bus.inter_gpu_payload_wire_bits, r.bus.inter_gpu_payload_raw_bits);
-}
-
 TEST(SystemEdge, SwitchFabricWithManyGpus) {
   MatrixTransposeWorkload wl(MatrixTransposeWorkload::Params{.n = 128});
   SystemConfig cfg;
