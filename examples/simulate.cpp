@@ -94,16 +94,16 @@ struct Options {
   std::uint32_t coll_trunk_lpb{0};  ///< trunk-phase block size (0 = full page)
 };
 
-constexpr double kFiniteMax = std::numeric_limits<double>::max();
 constexpr double kPositiveMin = std::numeric_limits<double>::min();
 
 /// Parses all of `v` as a number in [lo, hi] into `out`. Anything else (an
-/// empty value, trailing junk, NaN, infinity, out of range) names the flag
-/// on stderr and returns false.
-bool parse_number(const std::string& flag, const char* v, double lo, double hi,
-                  double* out) {
+/// empty value, trailing junk, a sign on a count, NaN, infinity, out of
+/// range) names the flag on stderr and returns false.
+template <typename T>
+bool parse_number(const std::string& flag, const char* v, T lo, T* out,
+                  T hi = std::numeric_limits<T>::max()) {
   const char* end = v + std::strlen(v);
-  double x = 0.0;
+  T x = 0;
   const auto [ptr, ec] = std::from_chars(v, end, x);
   if (ec != std::errc() || ptr != end || !(x >= lo && x <= hi)) {
     std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), v);
@@ -127,52 +127,46 @@ bool parse(int argc, char** argv, Options& o) {
       o.policy = v;
     } else if (arg == "--lambda") {
       const char* v = next();
-      if (v == nullptr || !parse_number(arg, v, 0.0, kFiniteMax, &o.lambda)) return false;
+      if (v == nullptr || !parse_number(arg, v, 0.0, &o.lambda)) return false;
     } else if (arg == "--scale") {
       const char* v = next();
-      if (v == nullptr || !parse_number(arg, v, kPositiveMin, kFiniteMax, &o.scale)) {
-        return false;
-      }
+      if (v == nullptr || !parse_number(arg, v, kPositiveMin, &o.scale)) return false;
     } else if (arg == "--gpus") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.gpus = static_cast<std::uint32_t>(std::atoi(v));
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 0, &o.gpus)) return false;
     } else if (arg == "--bus") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.bus = static_cast<std::uint32_t>(std::atoi(v));
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 0, &o.bus)) return false;
     } else if (arg == "--samples") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.samples = static_cast<std::uint32_t>(std::atoi(v));
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 1, &o.samples)) return false;
     } else if (arg == "--running") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.running = static_cast<std::uint32_t>(std::atoi(v));
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 0, &o.running)) return false;
     } else if (arg == "--tier") {
       const char* v = next();
       if (v == nullptr) return false;
       o.tier = v;
     } else if (arg == "--ber") {
       const char* v = next();
-      if (v == nullptr || !parse_number(arg, v, 0.0, 1.0, &o.ber)) return false;
+      if (v == nullptr || !parse_number(arg, v, 0.0, &o.ber, 1.0)) return false;
     } else if (arg == "--drop") {
       const char* v = next();
-      if (v == nullptr || !parse_number(arg, v, 0.0, 1.0, &o.drop)) return false;
+      if (v == nullptr || !parse_number(arg, v, 0.0, &o.drop, 1.0)) return false;
     } else if (arg == "--topology") {
       const char* v = next();
       if (v == nullptr) return false;
       o.topology = v;
     } else if (arg == "--gpus-per-node") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.gpus_per_node = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.gpus_per_node == 0) return false;
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 1, &o.gpus_per_node)) {
+        return false;
+      }
     } else if (arg == "--internode-bw-ratio") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.internode_bw_ratio = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.internode_bw_ratio == 0) return false;
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 1, &o.internode_bw_ratio)) {
+        return false;
+      }
     } else if (arg == "--fault-episodes") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -193,9 +187,9 @@ bool parse(int argc, char** argv, Options& o) {
       o.trace_out = v;
     } else if (arg == "--trace-limit") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.trace_limit = static_cast<std::size_t>(std::atoll(v));
-      if (o.trace_limit == 0) return false;
+      if (v == nullptr || !parse_number<std::size_t>(arg, v, 1, &o.trace_limit)) {
+        return false;
+      }
     } else if (arg == "--simd") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -206,9 +200,7 @@ bool parse(int argc, char** argv, Options& o) {
       o.collective = v;
     } else if (arg == "--coll-kb") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_kb = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.coll_kb == 0) return false;
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 1, &o.coll_kb)) return false;
     } else if (arg == "--coll-fill") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -219,27 +211,24 @@ bool parse(int argc, char** argv, Options& o) {
       o.coll_op = v;
     } else if (arg == "--coll-window") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_window = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.coll_window == 0) return false;
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 1, &o.coll_window)) return false;
     } else if (arg == "--coll-lines-per-block") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_lines_per_block = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.coll_lines_per_block == 0) return false;
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 1, &o.coll_lines_per_block)) {
+        return false;
+      }
     } else if (arg == "--coll-root") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_root = static_cast<std::uint32_t>(std::atoi(v));
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 0, &o.coll_root)) return false;
     } else if (arg == "--coll-algo") {
       const char* v = next();
       if (v == nullptr) return false;
       o.coll_algo = v;
     } else if (arg == "--coll-trunk-lines-per-block") {
       const char* v = next();
-      if (v == nullptr) return false;
-      o.coll_trunk_lpb = static_cast<std::uint32_t>(std::atoi(v));
-      if (o.coll_trunk_lpb == 0) return false;
+      if (v == nullptr || !parse_number<std::uint32_t>(arg, v, 1, &o.coll_trunk_lpb)) {
+        return false;
+      }
     } else if (arg == "--help" || arg == "-h") {
       return false;
     } else {
