@@ -4,9 +4,11 @@
 //   ./bench_fig5 [scale]      # default 1.0; smaller = faster, same shapes
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,12 +36,20 @@ inline void reject_unknown_flags(int argc, char** argv, int max_positional = -1)
   }
 }
 
+/// The scale is the first positional argument, `fallback` when absent. It
+/// must parse whole as a finite number > 0; anything else exits 2 naming
+/// the value instead of running some other scale.
 inline double parse_scale(int argc, char** argv, double fallback = 1.0) {
-  if (argc > 1) {
-    const double s = std::atof(argv[1]);
-    if (s > 0.0) return s;
+  if (argc <= 1) return fallback;
+  const char* v = argv[1];
+  const char* end = v + std::strlen(v);
+  double s = 0.0;
+  const auto [ptr, ec] = std::from_chars(v, end, s);
+  if (ec != std::errc() || ptr != end || !std::isfinite(s) || !(s > 0.0)) {
+    std::fprintf(stderr, "bad scale: %s\n", v);
+    std::exit(2);
   }
-  return fallback;
+  return s;
 }
 
 /// Runs `abbrev` under `policy` on the paper's shared bus;

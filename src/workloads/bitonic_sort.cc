@@ -14,6 +14,7 @@ namespace mgcomp {
 
 namespace {
 constexpr std::uint32_t kIndicesPerWg = 512;  // 256 active pairs
+constexpr auto kKeysPerLine = static_cast<std::uint32_t>(kLineBytes / 4);
 }
 
 void BitonicSortWorkload::setup(GlobalMemory& mem) {
@@ -57,10 +58,14 @@ KernelTrace BitonicSortWorkload::generate_kernel(std::size_t kernel, GlobalMemor
   for (std::uint32_t base = 0; base < p_.n; base += kIndicesPerWg) {
     WorkgroupTrace wg;
     // Load phase, one side at a time so consecutive work items coalesce.
-    for (std::uint32_t i = base; i < base + kIndicesPerWg; ++i) {
+    // A key i is active when i ^ j > i. For j >= 16 a 16-key line is wholly
+    // active or idle, and for j < 16 every line is active and its partners
+    // share the line, so testing each line's first key and emitting once
+    // per line gives the ops a per-key loop would coalesce to.
+    for (std::uint32_t i = base; i < base + kIndicesPerWg; i += kKeysPerLine) {
       if ((i ^ j) > i) emit_read(wg, keys_ + static_cast<Addr>(i) * 4);
     }
-    for (std::uint32_t i = base; i < base + kIndicesPerWg; ++i) {
+    for (std::uint32_t i = base; i < base + kIndicesPerWg; i += kKeysPerLine) {
       if ((i ^ j) > i) emit_read(wg, keys_ + static_cast<Addr>(i ^ j) * 4);
     }
     // Functional compare-exchange (both elements are written back, as the
@@ -84,11 +89,11 @@ KernelTrace BitonicSortWorkload::generate_kernel(std::size_t kernel, GlobalMemor
       mem.write<std::uint32_t>(keys_ + static_cast<Addr>(base) * 4, lo);
       mem.write<std::uint32_t>(keys_ + static_cast<Addr>(base + j) * 4, hi);
     }
-    // Store phase, again one side at a time.
-    for (std::uint32_t i = base; i < base + kIndicesPerWg; ++i) {
+    // Store phase, again one side at a time and one emit per line.
+    for (std::uint32_t i = base; i < base + kIndicesPerWg; i += kKeysPerLine) {
       if ((i ^ j) > i) emit_write(wg, keys_ + static_cast<Addr>(i) * 4);
     }
-    for (std::uint32_t i = base; i < base + kIndicesPerWg; ++i) {
+    for (std::uint32_t i = base; i < base + kIndicesPerWg; i += kKeysPerLine) {
       if ((i ^ j) > i) emit_write(wg, keys_ + static_cast<Addr>(i ^ j) * 4);
     }
     if (!wg.ops.empty()) trace.workgroups.push_back(std::move(wg));
