@@ -7,12 +7,10 @@
 //   D. single-codec adaptive gating (Section V last paragraph: on/off of
 //      one integrated compressor)
 //   E. fabric energy tiers (Section II: on-chip .. inter-node pJ/b)
-//   F. GPU-count scaling
 //   G. bit-plane pre-coding layer (related work, Kim et al.)
 //   H. fabric topology (bus vs crossbar switch)
-//   K. unreliable-link BER sweep (reliability extension: CRC + retransmission
-//      + degrade-to-raw)
-// (I and J are retired letters: K keeps its letter so references to §K hold.)
+// (F, I, J and K are retired letters; the others keep theirs so references
+// to them hold.)
 #include "bench_common.h"
 #include "compression/bitplane.h"
 #include "memory/global_memory.h"
@@ -134,29 +132,6 @@ void energy_tiers(double scale) {
               " at on-chip cost the compressors can be a net loss)\n\n");
 }
 
-void gpu_scaling(double scale) {
-  std::printf("F. GPU-count scaling (MT, adaptive l=6)\n");
-  std::printf("%6s %14s %14s %10s\n", "GPUs", "exec none", "exec adaptive", "speedup");
-  for (const std::uint32_t gpus : {2u, 4u, 8u}) {
-    SystemConfig base_cfg;
-    base_cfg.num_gpus = gpus;
-    auto wl = make_workload("MT", scale);
-    const RunResult base = run_workload(std::move(base_cfg), *wl);
-
-    SystemConfig ad_cfg;
-    ad_cfg.num_gpus = gpus;
-    ad_cfg.policy = make_adaptive_policy(AdaptiveParams{.lambda = 6.0});
-    wl = make_workload("MT", scale);
-    const RunResult ad = run_workload(std::move(ad_cfg), *wl);
-
-    std::printf("%6u %14llu %14llu %9.2fx\n", gpus,
-                static_cast<unsigned long long>(base.exec_ticks),
-                static_cast<unsigned long long>(ad.exec_ticks),
-                static_cast<double>(base.exec_ticks) / static_cast<double>(ad.exec_ticks));
-  }
-  std::printf("\n");
-}
-
 void bitplane_layer(double scale) {
   std::printf("G. bit-plane pre-coding layer (whole-buffer compression ratios)\n");
   std::printf("%-6s %10s %12s %12s %14s\n", "Bench", "C-Pack+Z", "BPC+C-Pack", "BDI",
@@ -217,33 +192,6 @@ void fabric_topology(double scale) {
               " compression win: per-port serialization still charges for bytes)\n\n");
 }
 
-void ber_sweep(double scale) {
-  std::printf("K. link bit-error-rate sweep (MT, reliability extension)\n");
-  std::printf("   (CRC-protected messages, NACK/timeout retransmission; the adaptive\n");
-  std::printf("    policy degrades to raw transfers when the error rate spikes)\n");
-  std::printf("%-8s %-9s %12s %12s %8s %8s %8s %9s\n", "BER", "policy", "exec", "traffic",
-              "rexmit", "degrade", "goodput", "energy-nJ");
-  for (const double ber : {0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5}) {
-    for (const bool adaptive : {false, true}) {
-      SystemConfig cfg;
-      cfg.policy = adaptive ? make_adaptive_policy(AdaptiveParams{.lambda = 6.0})
-                            : make_static_policy(CodecId::kCpackZ);
-      cfg.fault.bit_error_rate = ber;
-      auto wl = make_workload("MT", scale);
-      const RunResult r = run_workload(std::move(cfg), *wl);
-      std::printf("%-8.0e %-9s %12llu %12llu %8llu %8llu %8.4f %9.1f\n", ber,
-                  adaptive ? "adaptive" : "cpack+z",
-                  static_cast<unsigned long long>(r.exec_ticks),
-                  static_cast<unsigned long long>(r.inter_gpu_traffic_bytes()),
-                  static_cast<unsigned long long>(r.link.retransmissions()),
-                  static_cast<unsigned long long>(r.policy_stats.degrade_events),
-                  r.goodput_fraction(), r.total_link_energy_pj() / 1e3);
-    }
-  }
-  std::printf("(retransmissions waste wire bytes and time; past the degrade threshold\n"
-              " the adaptive policy pins raw transfers until the link looks clean)\n\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -255,9 +203,7 @@ int main(int argc, char** argv) {
   cadence_sweep(scale);
   single_codec_gating(scale);
   energy_tiers(scale);
-  gpu_scaling(scale);
   bitplane_layer(scale);
   fabric_topology(scale);
-  ber_sweep(scale);
   return 0;
 }

@@ -1,7 +1,7 @@
-// Shared helpers for the experiment harnesses (one binary per paper
-// table/figure). Each binary accepts an optional scale factor:
+// Shared helpers for the bench binaries. Each takes the workload scale as
+// its first positional argument:
 //
-//   ./bench_fig5 [scale]      # default 1.0; smaller = faster, same shapes
+//   ./bench_paper [scale]     # default 1.0; smaller = faster, same shapes
 #pragma once
 
 #include <charconv>
@@ -71,23 +71,6 @@ struct PolicyCase {
   std::string label;
   PolicyFactory factory;
 };
-
-inline std::vector<PolicyCase> static_policies() {
-  std::vector<PolicyCase> v;
-  v.push_back({"None", make_no_compression_policy()});
-  v.push_back({"FPC", make_static_policy(CodecId::kFpc)});
-  v.push_back({"BDI", make_static_policy(CodecId::kBdi)});
-  v.push_back({"C-Pack+Z", make_static_policy(CodecId::kCpackZ)});
-  return v;
-}
-
-inline std::vector<PolicyCase> adaptive_policies() {
-  std::vector<PolicyCase> v;
-  v.push_back({"Adaptive l=0", make_adaptive_policy(AdaptiveParams{.lambda = 0.0})});
-  v.push_back({"Adaptive l=6", make_adaptive_policy(AdaptiveParams{.lambda = 6.0})});
-  v.push_back({"Adaptive l=32", make_adaptive_policy(AdaptiveParams{.lambda = 32.0})});
-  return v;
-}
 
 /// Geometric mean (the conventional mean for normalized ratios).
 inline double geomean(const std::vector<double>& xs) {

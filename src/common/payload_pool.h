@@ -13,8 +13,8 @@
 // buffer that a bulk caller will want back at page size.
 //
 // Not thread-safe by design: each RDMA engine owns its own pool (one per
-// endpoint), matching the one-policy-per-sender structure, and sweep
-// workers never share a System.
+// endpoint), matching the one-policy-per-sender structure, and a
+// simulation runs on one thread.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/assert.h"
 #include "workloads/aes.h"
 #include "workloads/bitonic_sort.h"
 #include "workloads/convolution.h"
@@ -14,15 +15,23 @@
 namespace mgcomp {
 namespace {
 
+// `v * scale` truncated. It must stay below 2^31, so that it converts
+// exactly and the doubling in scaled_pow2 cannot wrap.
+std::uint32_t scaled_size(double v, double scale) {
+  const double size = v * scale;
+  MGCOMP_CHECK_MSG(size < 2147483648.0, "make_workload: every scaled size must be < 2^31");
+  return static_cast<std::uint32_t>(size);
+}
+
 // Rounds `v * scale` down to a multiple of `quantum`, staying >= quantum.
 std::uint32_t scaled(std::uint32_t v, double scale, std::uint32_t quantum) {
-  const auto raw = static_cast<std::uint32_t>(static_cast<double>(v) * scale);
+  const std::uint32_t raw = scaled_size(v, scale);
   return std::max(quantum, raw / quantum * quantum);
 }
 
 // Largest power of two <= v * scale, at least `floor_pow2`.
 std::uint32_t scaled_pow2(std::uint32_t v, double scale, std::uint32_t floor_pow2) {
-  auto target = static_cast<std::uint32_t>(static_cast<double>(v) * scale);
+  const std::uint32_t target = scaled_size(v, scale);
   std::uint32_t p = floor_pow2;
   while (p * 2 <= target) p *= 2;
   return p;
@@ -31,11 +40,12 @@ std::uint32_t scaled_pow2(std::uint32_t v, double scale, std::uint32_t floor_pow
 }  // namespace
 
 std::unique_ptr<Workload> make_workload(std::string_view abbrev, double scale) {
+  MGCOMP_CHECK_MSG(std::isfinite(scale) && scale > 0.0,
+                   "make_workload: scale must be finite and > 0");
   if (abbrev == "AES") {
     AesWorkload::Params p;
     p.bytes_per_pass = std::max<std::size_t>(
-        64 * 1024, static_cast<std::size_t>(static_cast<double>(p.bytes_per_pass) * scale) /
-                       1024 * 1024);
+        64 * 1024, scaled_size(static_cast<double>(p.bytes_per_pass), scale) / 1024 * 1024);
     return std::make_unique<AesWorkload>(p);
   }
   if (abbrev == "BS") {

@@ -9,9 +9,10 @@
 namespace mgcomp {
 
 /// Creates one workload by its Table IV abbreviation (AES, BS, FIR, GD,
-/// KM, MT, SC). `scale` in (0, 1] shrinks problem sizes proportionally
-/// (scale = 1 is the default benchmarking size). Returns nullptr for an
-/// unknown abbreviation.
+/// KM, MT, SC). `scale` < 1 shrinks problem sizes proportionally and > 1
+/// grows them (scale = 1 is the default benchmarking size). Aborts naming
+/// the rule unless `scale` is finite and > 0 and every scaled size stays
+/// below 2^31. Returns nullptr for an unknown abbreviation.
 [[nodiscard]] std::unique_ptr<Workload> make_workload(std::string_view abbrev,
                                                       double scale = 1.0);
 

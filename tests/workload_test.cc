@@ -342,6 +342,21 @@ TEST(WorkloadParamsDeathTest, DegenerateParamsAreRejected) {
   }
 }
 
+// A scale that is not finite and > 0, or one that takes a size to 2^31 or
+// more, is rejected by make_workload before any size is converted; BS at
+// 65536 (32768 keys -> 2^31) used to spin in scaled_pow2.
+TEST(WorkloadParamsDeathTest, BadScalesAreRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const double scale : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    EXPECT_DEATH((void)make_workload("MT", scale),
+                 "make_workload: scale must be finite and > 0")
+        << scale;
+  }
+  EXPECT_DEATH((void)make_workload("BS", 65536.0),
+               "make_workload: every scaled size must be < 2\\^31");
+}
+
 // ---------------------------------------------------------------------------
 // Trace invariants, parameterized over the whole suite.
 // ---------------------------------------------------------------------------
